@@ -36,11 +36,22 @@
 // loss exceeds 1, and the served state keeps exact parity with a fresh
 // engine fed every response once — the exactly-once-effect check.
 //
+// Sweep 4 (bench "server_subscriber_sweep"): apply cost against the
+// subscriber count. The closed loop of sweep 1 at 8, 1,000 and 4,000
+// subscribers on 8 group queries, with 2 pollers whatever the flags say;
+// each size runs three times, interleaved, and its fastest run's line is
+// kept. Subscribers of one query share its stream, so an apply runs one
+// wave per stream it hits, not one per subscriber. Gate: server apply p50
+// at 4,000 subscribers within 2x of the p50 at 8 (a summary line
+// "server_subscriber_gate" records both and the ratio; enforced in
+// optimized builds only, see kEnforceLatencyGate).
+//
 // One strict-JSON line per sweep (obs/export.h JsonWriter), to stdout
 // and to BENCH_server.json (overwritten per run):
 //
 //   {"bench":"server_closed_loop","subscribers":1000,"groups":8,...,
 //    "requests":...,"requests_per_sec":...,"polls":...,"applies":...,
+//    "streams":8,"subscriptions":1000,...,
 //    "request_ns":{"count":...,"p50":...,"p99":...},"poll_ns":{...},
 //    "apply_ns":{...},"parity":true}
 //   {"bench":"server_shed","offered_sessions":...,"admitted":...,
@@ -53,7 +64,8 @@
 // Usage: bench_server [--subscribers=N] [--groups=N] [--rounds=N]
 //   [--pollers=N] [--seed=N]  (CI smoke passes --subscribers=64
 //   --rounds=2; --seed makes the lossy sweep's fault schedule and retry
-//   jitter replayable).
+//   jitter replayable; the subscriber sweep fixes its own sizes, groups
+//   and pollers).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -76,6 +88,17 @@
 #include "workload/generators.h"
 
 namespace {
+
+// The subscriber sweep's latency gate is enforced in optimized builds
+// only: sanitizers and unoptimized code slow every allocation several-
+// fold, which stretches the pollers' lock hold times into noise the gate
+// would misread. Those builds still run the sweep and its other gates.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__) || \
+    !defined(NDEBUG)
+constexpr bool kEnforceLatencyGate = false;
+#else
+constexpr bool kEnforceLatencyGate = true;
+#endif
 
 using Clock = std::chrono::steady_clock;
 
@@ -161,6 +184,14 @@ struct Subscriber {
   StreamSnapshot final_snapshot;
 };
 
+/// One closed-loop sweep run: its gates' verdict, the server apply p50
+/// and its JSON line.
+struct SweepResult {
+  bool ok = false;
+  uint64_t apply_p50_ns = 0;
+  std::string line;
+};
+
 struct SweepOutcome {
   uint64_t gaps = 0;
   uint64_t call_errors = 0;
@@ -219,11 +250,16 @@ int main(int argc, char** argv) {
   std::FILE* out = std::fopen("BENCH_server.json", "w");
   bool failed = false;
 
-  // Both sweeps run the same closed loop; only the server options and
-  // the offered session count differ.
+  auto emit = [&](const std::string& line) {
+    std::printf("%s\n", line.c_str());
+    if (out != nullptr) std::fprintf(out, "%s\n", line.c_str());
+  };
+
+  // The closed-loop sweeps share this body; only the server options, the
+  // offered session count and the poller count differ.
   auto run_sweep = [&](const char* name, long offered, long groups,
-                       long rounds, ServerOptions sopts,
-                       EngineOptions eopts) -> bool {
+                       long rounds, long poller_threads, ServerOptions sopts,
+                       EngineOptions eopts) -> SweepResult {
     MultiRelationFamily f =
         MakeMultiRelationFamily(static_cast<int>(groups), 5);
     const Scenario& s = f.scenario;
@@ -268,9 +304,9 @@ int main(int argc, char** argv) {
     // Admission + registration, striped across the poller pool (this is
     // part of the offered load: sessions arrive concurrently).
     std::vector<std::thread> pool;
-    for (long p = 0; p < pollers; ++p) {
+    for (long p = 0; p < poller_threads; ++p) {
       pool.emplace_back([&, p] {
-        for (long i = p; i < offered; i += pollers) {
+        for (long i = p; i < offered; i += poller_threads) {
           Subscriber& sub = subs[i];
           Status hello = sub.client->Hello();
           if (!hello.ok()) {
@@ -351,13 +387,13 @@ int main(int argc, char** argv) {
 
     // Closed-loop pollers: each worker owns a stripe of subscribers and
     // cycles poll → gap check → acknowledge until its stripe drains.
-    for (long p = 0; p < pollers; ++p) {
+    for (long p = 0; p < poller_threads; ++p) {
       pool.emplace_back([&, p] {
         bool stripe_live = true;
         while (stripe_live) {
           stripe_live = false;
           const bool drain = appliers_done.load(std::memory_order_acquire);
-          for (long i = p; i < offered; i += pollers) {
+          for (long i = p; i < offered; i += poller_threads) {
             Subscriber& sub = subs[i];
             if (sub.done || !sub.admitted) continue;
             stripe_live = true;
@@ -463,7 +499,7 @@ int main(int argc, char** argv) {
         .Field("admitted", static_cast<uint64_t>(admitted))
         .Field("groups", static_cast<uint64_t>(groups))
         .Field("rounds", static_cast<uint64_t>(rounds))
-        .Field("pollers", static_cast<uint64_t>(pollers))
+        .Field("pollers", static_cast<uint64_t>(poller_threads))
         .Field("wall_ms", wall_ms)
         .Field("requests", stats.server_requests)
         .Field("requests_per_sec",
@@ -476,6 +512,8 @@ int main(int argc, char** argv) {
         .Field("streams_degraded", stats.server_streams_degraded)
         .Field("cursor_evictions", stats.server_cursor_evictions)
         .Field("backlog_high_water", stats.server_backlog_high_water)
+        .Field("streams", stats.streams_registered)
+        .Field("subscriptions", stats.stream_subscriptions)
         .Field("gaps", outcome.gaps)
         .Field("call_errors", outcome.call_errors);
     jw.Key("request_ns");
@@ -485,8 +523,6 @@ int main(int argc, char** argv) {
     jw.Key("apply_ns");
     AppendHistogramJson(&jw, obs.server_apply_ns);
     jw.Field("parity", parity).EndObject();
-    std::printf("%s\n", jw.str().c_str());
-    if (out != nullptr) std::fprintf(out, "%s\n", jw.str().c_str());
 
     bool ok = parity && outcome.gaps == 0 && outcome.call_errors == 0;
     if (!ok) {
@@ -513,7 +549,7 @@ int main(int argc, char** argv) {
         ok = false;
       }
     }
-    return ok;
+    return SweepResult{ok, obs.server_apply_ns.Percentile(50), jw.str()};
   };
 
   // Sweep 1: open admission, default engine — capacity and parity.
@@ -521,10 +557,10 @@ int main(int argc, char** argv) {
     ServerOptions sopts;
     EngineOptions eopts;
     eopts.num_threads = 2;
-    if (!run_sweep("server_closed_loop", subscribers, groups, rounds, sopts,
-                   eopts)) {
-      failed = true;
-    }
+    SweepResult r = run_sweep("server_closed_loop", subscribers, groups,
+                              rounds, pollers, sopts, eopts);
+    emit(r.line);
+    if (!r.ok) failed = true;
   }
 
   // Sweep 2: overload. Cap sessions below the offered count (half the
@@ -546,10 +582,10 @@ int main(int argc, char** argv) {
     sopts.degrade_backlog_events = 2;
     EngineOptions eopts;
     eopts.max_inflight_applies = 1;
-    if (!run_sweep("server_shed", offered, shed_groups, shed_rounds, sopts,
-                   eopts)) {
-      failed = true;
-    }
+    SweepResult r = run_sweep("server_shed", offered, shed_groups,
+                              shed_rounds, pollers, sopts, eopts);
+    emit(r.line);
+    if (!r.ok) failed = true;
   }
 
   // Sweep 3: lossy transport. The crawl replayed twice by retrying
@@ -728,8 +764,7 @@ int main(int argc, char** argv) {
         .Field("call_errors", clean.call_errors + lossy.call_errors)
         .Field("parity", clean.parity && lossy.parity)
         .EndObject();
-    std::printf("%s\n", jw.str().c_str());
-    if (out != nullptr) std::fprintf(out, "%s\n", jw.str().c_str());
+    emit(jw.str());
 
     // Gates: every apply landed in both modes, the fault plan actually
     // fired, amplification shows the retries that papered over it, and
@@ -747,6 +782,58 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(lossy.faults_dropped +
                                                    lossy.faults_duplicated),
                    amplification(lossy));
+      failed = true;
+    }
+  }
+
+  // Sweep 4: apply cost against the subscriber count, on shared streams.
+  // Each size runs kRepeats times, interleaved with the other sizes, and
+  // the run with the fastest apply p50 stands for it: other tenants of a
+  // shared host only ever add time, and interleaving lets a slow phase
+  // fall on every size alike.
+  {
+    constexpr long kSweepGroups = 8;
+    constexpr long kSweepPollers = 2;
+    constexpr int kRepeats = 3;
+    const long sizes[] = {8, 1000, 4000};
+    SweepResult best[3];
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      for (int i = 0; i < 3; ++i) {
+        EngineOptions eopts;
+        eopts.num_threads = 2;
+        SweepResult r =
+            run_sweep("server_subscriber_sweep", sizes[i], kSweepGroups, rounds,
+                      kSweepPollers, ServerOptions{}, eopts);
+        if (!r.ok) failed = true;
+        if (rep == 0 || r.apply_p50_ns < best[i].apply_p50_ns) {
+          best[i] = std::move(r);
+        }
+      }
+    }
+    for (const SweepResult& r : best) emit(r.line);
+    const uint64_t at8 = best[0].apply_p50_ns;
+    const uint64_t at4000 = best[2].apply_p50_ns;
+    const double ratio = at8 > 0 ? static_cast<double>(at4000) / at8 : 0.0;
+    const bool pass = at8 > 0 && ratio <= 2.0;
+    JsonWriter jw;
+    jw.BeginObject()
+        .Field("bench", "server_subscriber_gate")
+        .Field("enforced", kEnforceLatencyGate)
+        .Field("repeats", static_cast<uint64_t>(kRepeats))
+        .Field("apply_p50_ns_at_8", at8)
+        .Field("apply_p50_ns_at_1000", best[1].apply_p50_ns)
+        .Field("apply_p50_ns_at_4000", at4000)
+        .Field("ratio_4000_vs_8", ratio)
+        .Field("limit", 2.0)
+        .Field("pass", pass)
+        .EndObject();
+    emit(jw.str());
+    if (!pass && kEnforceLatencyGate) {
+      std::fprintf(stderr,
+                   "server_subscriber_sweep failed: apply p50 %llu ns at 4000 "
+                   "subscribers vs %llu ns at 8 (limit 2x)\n",
+                   static_cast<unsigned long long>(at4000),
+                   static_cast<unsigned long long>(at8));
       failed = true;
     }
   }

@@ -58,6 +58,7 @@ std::string EngineStats::ToString() const {
   }
   if (streams_registered > 0) {
     os << " streams=" << streams_registered
+       << " subscriptions=" << stream_subscriptions
        << " bindings=" << stream_bindings << " (" << stream_new_bindings
        << " mid-stream) rechecked=" << stream_rechecks
        << " skipped=" << stream_skips << "+" << stream_sticky_skips

@@ -263,23 +263,11 @@ class RelevanceEngine {
   /// `Configuration::Versions`, readable without any lock).
   VersionVector versions() const;
 
-  /// Unsynchronised view of the engine's configuration.
-  /// \deprecated Racy once applies run concurrently with anything — use
-  /// `SnapshotConfig()` for a coherent copy, or `ValidateAccess()` /
-  /// `versions()` for the common probes that used to motivate this
-  /// accessor. Kept only for quiescent callers.
-  [[deprecated(
-      "unsynchronised; use SnapshotConfig() (copy) or ValidateAccess() / "
-      "versions() for probes")]]
-  const Configuration& config() const {
-    return conf_;
-  }
-
   /// Copy of the configuration taken under the state lock.
   Configuration SnapshotConfig() const;
 
-  /// OK iff `access` is well-formed at the current configuration (the
-  /// synchronised replacement for `CheckWellFormed(engine.config(), ...)`).
+  /// OK iff `access` is well-formed at the current configuration
+  /// (`CheckWellFormed` under the state lock).
   Status ValidateAccess(const Access& access) const;
 
   /// Applies a response to a well-formed access: absorbs the facts, marks

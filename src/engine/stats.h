@@ -54,6 +54,9 @@ struct EngineStats {
   // Stream-registry counters (src/stream/), contributed by an attached
   // RelevanceStreamRegistry; all zero when none is attached.
   uint64_t streams_registered = 0;  ///< standing k-ary/Boolean streams
+  /// Registrations (StreamIds): each one a cursor on one of the streams —
+  /// registrations with equal (query, options) share a stream.
+  uint64_t stream_subscriptions = 0;
   uint64_t stream_bindings = 0;     ///< head bindings tracked (incl. fresh)
   uint64_t stream_new_bindings = 0; ///< bindings born from Adom growth
   uint64_t stream_rechecks = 0;     ///< per-binding re-evaluations run

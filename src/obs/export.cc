@@ -196,6 +196,7 @@ std::vector<CounterRow> EngineRows(const EngineStats& s) {
 std::vector<CounterRow> StreamRows(const EngineStats& s) {
   return {
       {"registered", s.streams_registered, true},
+      {"subscriptions", s.stream_subscriptions, true},
       {"bindings", s.stream_bindings, true},
       {"new_bindings", s.stream_new_bindings, false},
       {"rechecks", s.stream_rechecks, false},

@@ -25,6 +25,7 @@
 #ifndef RAR_PERSIST_DEDUP_H_
 #define RAR_PERSIST_DEDUP_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -68,6 +69,7 @@ class DedupWindow {
     auto [it, inserted] =
         entries_.emplace(request_id, Entry{type, std::move(response)});
     if (!inserted) return;
+    if (request_id > highest_recorded_) highest_recorded_ = request_id;
     order_.push_back(request_id);
     while (order_.size() > capacity_) {
       const uint64_t evicted = order_.front();
@@ -81,6 +83,14 @@ class DedupWindow {
   size_t capacity() const { return capacity_; }
   /// Highest request id ever evicted (0 = nothing evicted yet).
   uint64_t evicted_watermark() const { return evicted_watermark_; }
+
+  /// The first request id this window has neither recorded nor evicted
+  /// past: where a client resuming the session must continue numbering,
+  /// or its first mutations would be answered from cache or rejected as
+  /// stale without running.
+  uint64_t next_free_id() const {
+    return std::max(highest_recorded_, evicted_watermark_) + 1;
+  }
 
   /// Entries oldest-first, for snapshot serialization.
   template <typename Fn>
@@ -99,6 +109,7 @@ class DedupWindow {
   std::unordered_map<uint64_t, Entry> entries_;
   std::deque<uint64_t> order_;  ///< completion order, for FIFO eviction
   uint64_t evicted_watermark_ = 0;
+  uint64_t highest_recorded_ = 0;
 };
 
 }  // namespace rar

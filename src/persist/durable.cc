@@ -423,6 +423,12 @@ DurableSession::server_sessions() const {
   return out;
 }
 
+uint64_t DurableSession::NextRequestId(uint64_t session_id) const {
+  std::lock_guard<std::mutex> lock(session_mu_);
+  auto it = server_sessions_.find(session_id);
+  return it == server_sessions_.end() ? 1 : it->second.dedup.next_free_id();
+}
+
 Result<DurableSession::TaggedOutcome> DurableSession::ApplyTagged(
     uint64_t session_id, uint64_t request_id, const Access& access,
     const std::vector<Fact>& response) {
@@ -599,7 +605,7 @@ Status DurableSession::WriteSnapshotLocked() {
   }
   st.performed = engine_->PerformedAccesses();
   st.queries = direct_queries_;
-  const size_t n = registry_->num_streams();
+  const size_t n = registry_->num_subscriptions();
   st.streams.reserve(n);
   for (StreamId id = 0; id < n; ++id) {
     RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,

@@ -155,6 +155,9 @@ class DurableSession : public PersistHook, public ApplyListener {
   Status RetireServerSession(uint64_t session_id);
   /// Live serving sessions, for post-recovery seeding.
   std::vector<RecoveredServerSession> server_sessions() const;
+  /// The session's next free request id (DedupWindow::next_free_id); 1
+  /// for an unknown session.
+  uint64_t NextRequestId(uint64_t session_id) const;
 
   /// Exactly-once apply: probes the session's dedup window first; fresh
   /// requests run through the engine + WAL (tagged, so crash replay

@@ -155,6 +155,9 @@ Status RarClient::Resume(const SessionToken& token) {
   RAR_RETURN_NOT_OK(DecodeHelloResponse(payload, &resp));
   token_ = resp.token;
   resumed_ = resp.resumed;
+  // Continue past every id the session's dedup window has seen: reusing
+  // one would be answered from cache (or rejected as stale) unexecuted.
+  next_request_id_ = std::max(next_request_id_, resp.next_request_id);
   return Status::OK();
 }
 

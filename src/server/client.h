@@ -82,6 +82,8 @@ class RarClient {
   Status Hello();
   /// Resumes the session `token` names (after a reconnect or a client
   /// restart); fails with FailedPrecondition if the server reaped it.
+  /// Request numbering continues from the session's next free id, so a
+  /// new client object never reuses an id the session already recorded.
   Status Resume(const SessionToken& token);
 
   const SessionToken& token() const { return token_; }

@@ -203,6 +203,7 @@ std::string EncodeHelloResponse(const HelloResponse& resp) {
   w.U8(resp.resumed ? 1 : 0);
   w.U32(resp.num_streams);
   w.U32(resp.num_queries);
+  w.U64(resp.next_request_id);
   return out;
 }
 
@@ -214,6 +215,7 @@ Status DecodeHelloResponse(std::string_view payload, HelloResponse* out) {
   out->resumed = resumed != 0;
   RAR_RETURN_NOT_OK(r.U32(&out->num_streams));
   RAR_RETURN_NOT_OK(r.U32(&out->num_queries));
+  RAR_RETURN_NOT_OK(r.U64(&out->next_request_id));
   return ExpectEnd(r, "hello_ok");
 }
 

@@ -49,7 +49,8 @@ namespace rar {
 /// Protocol version spoken by this build; Hello carries the client's and
 /// the server rejects a mismatch with kVersionMismatch.
 /// v2: frames carry a deadline; Ping/PingOk; dedup-aware request ids.
-inline constexpr uint32_t kWireProtocolVersion = 2;
+/// v3: kHelloOk carries the session's next free request id.
+inline constexpr uint32_t kWireProtocolVersion = 3;
 
 /// Hard cap on one frame's `length` field (request_id + type + payload).
 /// An honest client never gets near it; a corrupt or hostile length
@@ -188,6 +189,9 @@ struct HelloResponse {
   bool resumed = false;
   uint32_t num_streams = 0;  ///< stream handles live in the session
   uint32_t num_queries = 0;  ///< query handles live in the session
+  /// First request id the session's dedup window has not used: a client
+  /// resuming the session numbers its requests from here.
+  uint64_t next_request_id = 1;
 };
 std::string EncodeHelloResponse(const HelloResponse& resp);
 Status DecodeHelloResponse(std::string_view payload, HelloResponse* out);

@@ -302,6 +302,11 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
       std::lock_guard<std::mutex> lock(session->mu);
       resp.num_streams = static_cast<uint32_t>(session->streams.size());
       resp.num_queries = static_cast<uint32_t>(session->queries.size());
+      resp.next_request_id = session->dedup.next_free_id();
+    }
+    // Durable serving keeps the session's window in the durable session.
+    if (durable_ != nullptr) {
+      resp.next_request_id = durable_->NextRequestId(session->id);
     }
     return EncodeHelloResponse(resp);
   }
@@ -688,7 +693,10 @@ void SessionServer::PoliceBacklog(ServerSession& session, uint32_t handle,
   // The stream is running hot: shed its gate indexes and fall back to
   // conservative full-recheck waves. Verdict-identical (the flag is
   // consulted per wave), so parity holds — only the wave cost changes.
-  if (registry_->Degrade(sid).ok()) Bump(counters_.streams_degraded);
+  // Streams are shared: only the subscriber whose poll actually degraded
+  // the stream counts it.
+  Result<bool> degraded = registry_->Degrade(sid);
+  if (degraded.ok() && *degraded) Bump(counters_.streams_degraded);
 }
 
 std::string SessionServer::HandleAcknowledge(const WireFrame& frame,

@@ -41,14 +41,19 @@
 //    (EngineOptions::max_inflight_applies); a ResourceExhausted apply
 //    surfaces as kRetryLater;
 //  * backlog — every registered stream gets a retention cap
-//    (max_backlog_events), so lagging subscribers lose oldest events
-//    (kCursorEvicted tells them to re-snapshot) instead of pinning
-//    memory; streams whose retained backlog crosses
-//    degrade_backlog_events are degraded to conservative full-recheck
-//    mode (RelevanceStreamRegistry::Degrade), shedding the gate indexes'
-//    memory. Degrading never changes verdicts — force_full_recheck is
-//    verdict-identical by the value gate's soundness argument — so served
-//    answers keep exact parity with a fresh decider.
+//    (max_backlog_events). Sessions registering the same query share one
+//    stream, each through its own subscription: its own sequence numbers
+//    from 1, its own acknowledged cursor and its own backlog. A lagging
+//    subscriber loses its oldest events (kCursorEvicted, with the horizon
+//    in its own numbering, tells it to re-snapshot) instead of pinning
+//    memory, while the other subscribers of the stream keep polling
+//    gap-free. When a subscription's backlog crosses
+//    degrade_backlog_events, its stream is degraded to conservative
+//    full-recheck mode (RelevanceStreamRegistry::Degrade), shedding the
+//    gate indexes' memory; streams_degraded counts streams, not
+//    subscribers. Degrading never changes verdicts — force_full_recheck
+//    is verdict-identical by the value gate's soundness argument — so
+//    served answers keep exact parity with a fresh decider.
 #ifndef RAR_SERVER_SERVER_H_
 #define RAR_SERVER_SERVER_H_
 
@@ -81,8 +86,9 @@ struct ServerOptions {
   /// (tightens a client-supplied StreamOptions::retain_cap, never loosens
   /// it). 0 = leave the client's cap (possibly unbounded).
   uint64_t max_backlog_events = 0;
-  /// Degrade a stream to conservative full-recheck mode once its retained
-  /// backlog exceeds this (checked at poll time). 0 = never degrade.
+  /// Degrade a stream to conservative full-recheck mode once a
+  /// subscription's retained backlog exceeds this (checked at poll time).
+  /// 0 = never degrade.
   uint64_t degrade_backlog_events = 0;
   /// Reap sessions idle longer than this (checked opportunistically on
   /// Hello and via ReapIdleSessions). 0 = never reap.
@@ -153,7 +159,7 @@ class SessionServer : public ApplyListener {
     uint64_t nonce = 0;
     std::mutex mu;  ///< guards the handle tables + dedup window below
     std::vector<QueryId> queries;   ///< wire handle -> engine QueryId
-    std::vector<StreamId> streams;  ///< wire handle -> registry StreamId
+    std::vector<StreamId> streams;  ///< wire handle -> subscription id
     std::vector<char> degraded;     ///< parallel to streams
     /// In-memory request dedup (durable serving probes the persisted
     /// window in DurableSession instead). Guarded by mu — holding mu

@@ -11,14 +11,16 @@
 // rechecked only when a freshly built stamp differs.
 //
 // `StreamState` is one stream's resident aggregate: instantiator,
-// candidate cursor, bindings, the undrained event queue and the relevance
-// /certainty tallies. It is guarded by its own mutex (`mu`): recheck
-// waves hold it while fanning per-binding work out, so Poll/Snapshot
-// observe only quiesced states.
+// candidate cursor, bindings, the shared event log with its subscription
+// cursors, and the relevance/certainty tallies. It is guarded by its own
+// mutex (`mu`): recheck waves hold it while fanning per-binding work out,
+// so Poll/Snapshot observe only quiesced states.
 #ifndef RAR_STREAM_BINDING_STATE_H_
 #define RAR_STREAM_BINDING_STATE_H_
 
+#include <memory>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -120,18 +122,54 @@ struct RelationGate {
   std::vector<uint32_t> unconstrained_bindings;
 };
 
-/// \brief One stream's resident state. Owned by the registry; all fields
-/// after construction are guarded by `mu`.
+/// \brief One registration's cursor on a shared stream. Its events are
+/// numbered 1, 2, 3, ... in its own numbering: first a private `prefix`,
+/// then every shared event past `join`, shared sequence s arriving as
+/// own sequence `base + s - join`.
+struct Subscription {
+  uint64_t join = 0;  ///< last shared sequence before the subscription
+  uint64_t base = 0;  ///< own sequence of shared event `join` (prefix end)
+  uint64_t acked = 0;      ///< last own sequence the subscriber confirmed
+  uint64_t delivered = 0;  ///< last own sequence a retained Poll handed out
+  /// Retention-cap horizon (own numbering) as of the last acknowledgement;
+  /// the live horizon also counts evictions since (see the registry).
+  uint64_t evicted = 0;
+  /// Private events with own sequences <= base not yet acknowledged or
+  /// evicted (from `prefix_head` on): a joiner's registration events, or a
+  /// restored retained tail.
+  std::vector<StreamEvent> prefix;
+  size_t prefix_head = 0;
+
+  /// The shared position this subscription has acknowledged through.
+  uint64_t AckedShared() const {
+    return acked > base ? join + (acked - base) : join;
+  }
+  /// Own sequence of shared event `s` (s >= join).
+  uint64_t Own(uint64_t s) const { return base + (s - join); }
+};
+
+/// \brief One stream's resident state, shared by every subscription of
+/// its (query, options) key. Owned by the registry; all fields after
+/// construction are guarded by `mu`.
 struct StreamState {
   StreamState(const Schema& schema, const UnionQuery& q, StreamOptions opts,
               const std::vector<TypedValue>* preset_fresh = nullptr)
-      : query(q), options(opts), inst(schema, q, preset_fresh) {}
+      : query(q),
+        options(opts),
+        full_recheck(opts.force_full_recheck),
+        inst(schema, q, preset_fresh) {}
 
   UnionQuery query;
+  /// As registered: part of the sharing key, and what snapshots persist.
   StreamOptions options;
+  /// Waves re-evaluate every stale binding: registered with
+  /// StreamOptions::force_full_recheck, or degraded since (Degrade). Kept
+  /// apart from `options` so degrading changes neither the key nor the
+  /// persisted registration.
+  bool full_recheck = false;
   HeadInstantiator inst;
-  /// Registry id of this stream (set once at Register, before publication;
-  /// read by wave trace events).
+  /// StreamId of the registration that built this stream (set once before
+  /// publication; read by wave trace events).
   StreamId id = 0;
   /// Active-domain values already expanded into bindings, per distinct
   /// head domain (`seen` is the delta-enumeration cursor).
@@ -209,18 +247,28 @@ struct StreamState {
   std::vector<uint64_t> wave_adom_pre;
   std::vector<uint64_t> wave_adom_post;
 
-  std::vector<StreamEvent> pending_events;  ///< undrained (Poll output)
-  uint64_t next_sequence = 1;
-  /// Retained-mode cursors (options.retain_events; see stream.h). Events
-  /// stay in pending_events until acknowledged; Poll copies everything
-  /// past poll_cursor instead of draining.
-  uint64_t poll_cursor = 0;     ///< last sequence handed out by Poll
-  uint64_t acked_sequence = 0;  ///< last sequence the subscriber confirmed
-  /// Highest sequence evicted by StreamOptions::retain_cap (0 = none).
-  /// A PollAfter cursor behind this is a gap the stream cannot fill.
-  uint64_t evicted_sequence = 0;
+  // --- shared event log and its subscriptions ---------------------------
+  /// Cursors of later registrations of the key (owned one by one: joining
+  /// never moves a cursor the registry points to).
+  std::vector<std::unique_ptr<Subscription>> joiners;
 
   mutable std::mutex mu;
+  // What Poll reads sits beside `mu` (plus the options).
+  /// Next shared sequence to assign (the log numbers events 1, 2, 3, ...).
+  uint64_t next_sequence = 1;
+  /// Cursor of the registration that built the stream.
+  Subscription builder;
+  /// Events still needed by some subscription: log[log_head + i] carries
+  /// shared sequence log_base + 1 + i. The front is released up to the
+  /// lowest acknowledged position and, with retain_cap, to the cap;
+  /// released entries are erased once they make up half the vector.
+  std::vector<StreamEvent> log;
+  size_t log_head = 0;
+  uint64_t log_base = 0;
+  /// Every subscription's acknowledged shared position (Subscription::
+  /// AckedShared), starting with the builder's (0): the minimum bounds
+  /// what the log must keep.
+  std::multiset<uint64_t> acked_positions{0};
 };
 
 /// The read-only view of one binding (Snapshot / RelevantBindings rows).

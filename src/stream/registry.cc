@@ -1,6 +1,7 @@
 #include "stream/registry.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -123,6 +124,162 @@ bool OutcomeRelevant(const StreamOptions& options, CheckKind kind,
   return out.ok() ? out.relevant : options.conservative_on_unknown;
 }
 
+// The sharing key of a registration: every StreamOptions field, then the
+// query per disjunct — variable domains (as validation infers them), head
+// and atoms, with variable names left out. Equal keys decide identical
+// verdicts, so their registrations share one stream.
+std::string StreamKey(const Schema& schema, const UnionQuery& query,
+                      const StreamOptions& o) {
+  UnionQuery q = query;
+  if (!q.Validate(schema).ok()) q = query;  // key the structure as given
+  std::string key;
+  auto put = [&key](uint64_t v) {
+    key.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  put(o.use_immediate);
+  put(o.use_long_term);
+  put(o.conservative_on_unknown);
+  put(o.parallel_threshold);
+  put(o.force_full_recheck);
+  put(o.retain_events);
+  put(o.retain_cap);
+  put(q.disjuncts.size());
+  for (const ConjunctiveQuery& d : q.disjuncts) {
+    put(d.var_domains.size());
+    for (DomainId dom : d.var_domains) put(dom);
+    put(d.head.size());
+    for (VarId h : d.head) put(h);
+    put(d.atoms.size());
+    for (const Atom& a : d.atoms) {
+      put(a.relation);
+      put(a.terms.size());
+      for (const Term& t : a.terms) {
+        put(static_cast<uint64_t>(t.kind));
+        put(t.is_var() ? t.var : t.constant.Packed());
+      }
+    }
+  }
+  return key;
+}
+
+// A subscription's last emitted sequence (its own numbering).
+uint64_t OwnLast(const StreamState& s, const Subscription& sub) {
+  return sub.Own(s.next_sequence - 1);
+}
+
+// A subscription's retention-cap horizon: the events a private stream
+// would have evicted by now — everything more than `retain_cap` behind
+// its last event, once its un-acknowledged backlog outgrew the cap — on
+// top of what it had lost when it last acknowledged.
+uint64_t Horizon(const StreamState& s, const Subscription& sub) {
+  const uint64_t cap = s.options.retain_events ? s.options.retain_cap : 0;
+  const uint64_t last = OwnLast(s, sub);
+  if (cap > 0 && last > sub.acked + cap) {
+    return std::max(sub.evicted, last - cap);
+  }
+  return sub.evicted;
+}
+
+// Drops prefix events at or below `upto` (own numbering); the vector is
+// freed once the last one goes.
+void TrimPrefix(Subscription& sub, uint64_t upto) {
+  while (sub.prefix_head < sub.prefix.size() &&
+         sub.prefix[sub.prefix_head].sequence <= upto) {
+    ++sub.prefix_head;
+  }
+  if (sub.prefix_head == sub.prefix.size() && sub.prefix_head > 0) {
+    sub.prefix = {};
+    sub.prefix_head = 0;
+  }
+}
+
+// Releases the log's `n` oldest live events; the released prefix is
+// erased once it makes up half the vector (amortized O(1) per event).
+void ReleaseOldest(StreamState& s, size_t n) {
+  s.log_head += n;
+  s.log_base += n;
+  if (s.log_head * 2 >= s.log.size()) {
+    s.log.erase(s.log.begin(), s.log.begin() + s.log_head);
+    s.log_head = 0;
+  }
+}
+
+// The lowest acknowledged shared position among the stream's
+// subscriptions.
+uint64_t MinAcked(const StreamState& s) { return *s.acked_positions.begin(); }
+
+// Releases shared events every subscription has acknowledged.
+void TrimLog(StreamState& s) {
+  const uint64_t keep_after = MinAcked(s);
+  if (keep_after > s.log_base) {
+    ReleaseOldest(s, std::min<size_t>(keep_after - s.log_base,
+                                      s.log.size() - s.log_head));
+  }
+}
+
+// Advances a subscription's acknowledged cursor to `upto` (> acked). The
+// horizon is materialized first: evictions the subscriber had not
+// acknowledged stay a gap after the cursor moves past them.
+void SetAcked(StreamState& s, Subscription& sub, uint64_t upto) {
+  sub.evicted = Horizon(s, sub);
+  const uint64_t before = sub.AckedShared();
+  sub.acked = upto;
+  if (upto > sub.delivered) sub.delivered = upto;
+  if (before == sub.AckedShared()) return;
+  // Move this subscription's entry (node reuse: no allocation).
+  auto node = s.acked_positions.extract(s.acked_positions.find(before));
+  node.value() = sub.AckedShared();
+  s.acked_positions.insert(std::move(node));
+}
+
+// Appends the subscription's events (from, to] (own numbering) to `out`,
+// renumbered. Shared events at or below `move_through` are moved out of
+// the log (no subscription needs them any more), the rest copied; prefix
+// events are moved when `consume`. The caller guarantees the range is
+// retained: `from` is at or past the acknowledged cursor and horizon.
+void EmitRange(StreamState& s, Subscription& sub, uint64_t from, uint64_t to,
+               bool consume, uint64_t move_through,
+               std::vector<StreamEvent>* out) {
+  if (to <= from) return;
+  out->reserve(out->size() + (to - from));
+  if (from < sub.base && sub.prefix_head < sub.prefix.size()) {
+    const uint64_t first = sub.prefix[sub.prefix_head].sequence;
+    size_t i = sub.prefix_head +
+               (from + 1 > first ? static_cast<size_t>(from + 1 - first) : 0);
+    for (; i < sub.prefix.size() && sub.prefix[i].sequence <= to; ++i) {
+      if (consume) {
+        out->push_back(std::move(sub.prefix[i]));
+      } else {
+        out->push_back(sub.prefix[i]);
+      }
+    }
+  }
+  for (uint64_t q = std::max(from, sub.base) + 1; q <= to; ++q) {
+    const uint64_t shared = sub.join + (q - sub.base);
+    StreamEvent& e =
+        s.log[s.log_head + static_cast<size_t>(shared - s.log_base - 1)];
+    if (shared <= move_through) {
+      out->push_back(std::move(e));
+    } else {
+      out->push_back(e);
+    }
+    out->back().sequence = q;
+  }
+}
+
+// Snapshot restore: turns `sub` (attached at the log's end) into the
+// persisted cursor — prefix = retained tail, offset such that the next
+// event gets `info.next_sequence`. Caller holds `s.mu`.
+void RestoreCursor(const StreamState& s, Subscription& sub,
+                   const StreamRecoveryInfo& info) {
+  sub.join = s.next_sequence - 1;
+  sub.base = info.next_sequence - 1;
+  sub.prefix.assign(info.retained_events.begin(), info.retained_events.end());
+  sub.acked = info.acked_sequence;
+  sub.delivered = info.acked_sequence;
+  sub.evicted = info.evicted_through;
+}
+
 }  // namespace
 
 RelevanceStreamRegistry::RelevanceStreamRegistry(RelevanceEngine* engine)
@@ -144,9 +301,10 @@ RelevanceStreamRegistry::~RelevanceStreamRegistry() {
   engine_->RemoveApplyListener(this);
 }
 
-StreamState* RelevanceStreamRegistry::stream(StreamId id) const {
+RelevanceStreamRegistry::SubscriptionRef
+RelevanceStreamRegistry::subscription(StreamId id) const {
   std::shared_lock<std::shared_mutex> lock(streams_mu_);
-  return id < streams_.size() ? streams_[id].get() : nullptr;
+  return id < subscriptions_.size() ? subscriptions_[id] : SubscriptionRef{};
 }
 
 Result<StreamId> RelevanceStreamRegistry::Register(const UnionQuery& query,
@@ -163,6 +321,25 @@ Result<StreamId> RelevanceStreamRegistry::RegisterRecovered(
 Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
     const UnionQuery& query, StreamOptions options,
     const StreamRecoveryInfo* info) {
+  const std::string key = StreamKey(engine_->schema(), query, options);
+  // A recovered registration joins only a stream with its own fresh pool
+  // (the pool is fixed at construction). Directories written before
+  // streams were shared hold one pool per registration of a key; such a
+  // registration gets a stream of its own, entered under no key, so two
+  // pools are never merged.
+  auto joinable = [info](const StreamState& t) {
+    return info == nullptr || info->fresh_pool == t.inst.fresh_constants();
+  };
+  {
+    std::shared_lock<std::shared_mutex> lock(streams_mu_);
+    auto it = by_key_.find(key);
+    if (it != by_key_.end() && joinable(*it->second)) {
+      StreamState* shared = it->second;
+      lock.unlock();
+      return Join(*shared, info);
+    }
+  }
+
   auto owned = std::make_unique<StreamState>(
       engine_->schema(), query, options,
       info != nullptr ? &info->fresh_pool : nullptr);
@@ -254,16 +431,27 @@ Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
   // Publish the stream *before* reading the active domain, holding its
   // mutex: a response applied from here on blocks in OnApply until the
   // initial wave lands (instead of being missed), and one applied before
-  // the candidate read below is already part of what it sees.
-  StreamId id;
+  // the candidate read below is already part of what it sees. A joiner
+  // arriving meanwhile blocks on the mutex too.
+  StreamState* shared = nullptr;
   std::unique_lock<std::mutex> setup(s.mu);
   {
     std::unique_lock<std::shared_mutex> lock(streams_mu_);
-    id = static_cast<StreamId>(streams_.size());
-    s.id = id;
-    streams_.push_back(std::move(owned));
+    auto [it, inserted] = by_key_.try_emplace(key, &s);
+    if (!inserted && joinable(*it->second)) {
+      shared = it->second;  // a concurrent registration of the key won
+    } else {
+      s.id = static_cast<StreamId>(subscriptions_.size());
+      subscriptions_.push_back(SubscriptionRef{&s, &s.builder});
+      streams_.push_back(std::move(owned));
+    }
+  }
+  if (shared != nullptr) {
+    setup.unlock();
+    return Join(*shared, info);
   }
   counters_.Bump(counters_.streams_registered);
+  counters_.Bump(counters_.subscriptions);
 
   s.candidates.values.resize(s.inst.num_domains());
   s.candidates.seen.assign(s.inst.num_domains(), 0);
@@ -279,8 +467,12 @@ Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
   if (!append.ok()) {
     // Cannot happen for a query that passed validation (its Boolean
     // instantiations are valid engine queries), but never leave a
-    // half-built stream live: stop maintaining it.
+    // half-built stream live: stop maintaining it, and let no later
+    // registration join it.
     s.defunct = true;
+    std::unique_lock<std::shared_mutex> lock(streams_mu_);
+    auto it = by_key_.find(key);
+    if (it != by_key_.end() && it->second == &s) by_key_.erase(it);
     return append;
   }
   for (size_t d = 0; d < s.inst.num_domains(); ++d) {
@@ -290,22 +482,92 @@ Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
               /*performed_after=*/0, /*adom_hit=*/false);
   if (info != nullptr && info->quiet) {
     // Snapshot restore: the subscriber already consumed everything through
-    // its acknowledged cursor, so the re-registration's own events are
-    // noise — replace them with the persisted un-acknowledged tail and
-    // force the cursors. The verdict/binding state itself regenerated
-    // identically above (same configuration, same fresh pool).
-    s.pending_events = info->retained_events;
-    s.next_sequence = info->next_sequence;
-    s.acked_sequence = info->acked_sequence;
-    s.poll_cursor = info->acked_sequence;
-    s.evicted_sequence = info->evicted_through;
+    // its acknowledged cursor, so the registration's own events are noise.
+    // The verdict/binding state itself regenerated identically above (same
+    // configuration, same fresh pool).
+    RestoreCursor(s, s.builder, *info);
+    s.acked_positions = {s.builder.AckedShared()};
+    TrimLog(s);
   }
+  return s.id;
+}
+
+Result<StreamId> RelevanceStreamRegistry::Join(StreamState& s,
+                                               const StreamRecoveryInfo* info) {
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (s.defunct) {
+    return Status::FailedPrecondition(
+        "the stream this registration would share failed to build");
+  }
+  Subscription sub;
+  if (info != nullptr && info->quiet) {
+    RestoreCursor(s, sub, *info);
+  } else {
+    // The events a private registration would emit now, in its order:
+    // every binding as enumerated over the current candidates (the stream
+    // appended bindings born from growth instead), then each binding's
+    // current verdict — at most one of certain/relevant. The order then
+    // depends on the configuration alone, so replay after a snapshot
+    // restore rebuilds the same prefix.
+    sub.join = s.next_sequence - 1;
+    std::map<std::vector<Value>, const BindingState*> by_slots;
+    for (const BindingState& b : s.bindings) {
+      by_slots.emplace(b.slot_values, &b);
+    }
+    std::vector<const BindingState*> order;
+    order.reserve(s.bindings.size());
+    s.inst.ForEachBinding(s.candidates, [&](const std::vector<Value>& slots) {
+      auto it = by_slots.find(slots);
+      if (it != by_slots.end()) order.push_back(it->second);
+      return false;
+    });
+    for (const BindingState* b : order) {
+      StreamEvent e;
+      e.kind = StreamEventKind::kBindingAdded;
+      e.binding = b->tuple;
+      sub.prefix.push_back(std::move(e));
+    }
+    for (const BindingState* b : order) {
+      if (!b->certain && !b->relevant) continue;
+      StreamEvent e;
+      e.kind = b->certain ? StreamEventKind::kBecameCertain
+                          : StreamEventKind::kBecameRelevant;
+      e.binding = b->tuple;
+      sub.prefix.push_back(std::move(e));
+    }
+    for (size_t i = 0; i < sub.prefix.size(); ++i) {
+      sub.prefix[i].sequence = i + 1;
+    }
+    sub.base = sub.prefix.size();
+    // A private registration's retention cap would evict the oldest of
+    // them at once.
+    const uint64_t cap = s.options.retain_events ? s.options.retain_cap : 0;
+    if (cap > 0 && sub.base > cap) {
+      sub.evicted = sub.base - cap;
+      TrimPrefix(sub, sub.evicted);
+      counters_.Bump(counters_.retained_evicted, sub.evicted);
+    }
+  }
+  s.acked_positions.insert(sub.AckedShared());
+  s.joiners.push_back(std::make_unique<Subscription>(std::move(sub)));
+  StreamId id;
+  {
+    std::unique_lock<std::shared_mutex> registry_lock(streams_mu_);
+    id = static_cast<StreamId>(subscriptions_.size());
+    subscriptions_.push_back(SubscriptionRef{&s, s.joiners.back().get()});
+  }
+  counters_.Bump(counters_.subscriptions);
   return id;
 }
 
 size_t RelevanceStreamRegistry::num_streams() const {
   std::shared_lock<std::shared_mutex> lock(streams_mu_);
   return streams_.size();
+}
+
+size_t RelevanceStreamRegistry::num_subscriptions() const {
+  std::shared_lock<std::shared_mutex> lock(streams_mu_);
+  return subscriptions_.size();
 }
 
 Status RelevanceStreamRegistry::AppendBinding(
@@ -496,19 +758,19 @@ void RelevanceStreamRegistry::CommitEvents(StreamState& s,
     }
     e.sequence = s.next_sequence++;
     counters_.Bump(counters_.events);
-    s.pending_events.push_back(std::move(e));
+    s.log.push_back(std::move(e));
   }
-  // Retention cap: evict the oldest retained events beyond the cap, so a
-  // subscriber that stopped polling cannot pin memory forever. Poll-mode
-  // (non-retaining) streams drain on Poll and never hit this. The horizon
-  // is sticky; a cursor behind it gets the typed PollAfter error.
+  // Retention cap: evict the oldest shared events beyond the cap, so a
+  // subscriber that stopped polling cannot pin memory forever. The log
+  // holds only events some subscription has not acknowledged, so each one
+  // evicted is a gap for a lagging subscription; only those see their
+  // horizon move (see Horizon). Non-retaining subscriptions acknowledge on
+  // Poll and never hit this.
   const uint64_t cap = s.options.retain_cap;
-  if (s.options.retain_events && cap > 0 && s.pending_events.size() > cap) {
-    const size_t excess = s.pending_events.size() - static_cast<size_t>(cap);
-    s.evicted_sequence = s.pending_events[excess - 1].sequence;
-    s.pending_events.erase(s.pending_events.begin(),
-                           s.pending_events.begin() + excess);
-    if (s.poll_cursor < s.evicted_sequence) s.poll_cursor = s.evicted_sequence;
+  const size_t live = s.log.size() - s.log_head;
+  if (s.options.retain_events && cap > 0 && live > cap) {
+    const size_t excess = live - static_cast<size_t>(cap);
+    ReleaseOldest(s, excess);
     counters_.Bump(counters_.retained_evicted, excess);
   }
 }
@@ -871,7 +1133,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   // Why this wave re-evaluated instead of value-gating (trace attribution;
   // mirrors the value_gate_fallback_* counter taxonomy).
   WaveFallbackReason wave_reason = WaveFallbackReason::kNone;
-  if (force || event == nullptr || s.options.force_full_recheck) {
+  if (force || event == nullptr || s.full_recheck) {
     wave_reason = WaveFallbackReason::kForcedFull;
   } else if (adom_hit) {
     wave_reason = WaveFallbackReason::kAdomGrowth;
@@ -910,7 +1172,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   bool gated = false;
   s.wave_adom_pre.clear();
   s.wave_adom_post.clear();
-  if (!force && event != nullptr && !s.options.force_full_recheck) {
+  if (!force && event != nullptr && !s.full_recheck) {
     if (adom_hit) {
       if (s.semijoin_supported && !event->grown_domains.empty() &&
           !event->adom_versions_after.empty() && !event->new_adom.empty()) {
@@ -1022,8 +1284,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
     record_wave(0, skipped + sticky + gate_skipped);
     return;
   }
-  if (!force && event != nullptr && !s.options.force_full_recheck &&
-      !gated) {
+  if (!force && event != nullptr && !s.full_recheck && !gated) {
     if (adom_hit) {
       counters_.Bump(counters_.value_gate_fallback_adom,
                      static_cast<uint64_t>(stale.size()));
@@ -1185,90 +1446,107 @@ void RelevanceStreamRegistry::ContributeStats(EngineStats* stats) const {
 
 StreamDelta RelevanceStreamRegistry::Poll(StreamId id) {
   StreamDelta delta;
-  StreamState* s = stream(id);
-  if (s == nullptr) return delta;
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->options.retain_events) {
-    // Retained mode: copy past the poll cursor; events survive until
-    // Acknowledge so a reconnecting subscriber can PollAfter(acked).
-    for (const StreamEvent& e : s->pending_events) {
-      if (e.sequence > s->poll_cursor) delta.events.push_back(e);
-    }
-    if (!delta.events.empty()) {
-      s->poll_cursor = delta.events.back().sequence;
-    }
-  } else {
-    delta.events = std::move(s->pending_events);
-    s->pending_events.clear();
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return delta;
+  StreamState& s = *ref.stream;
+  Subscription& sub = *ref.sub;
+  std::lock_guard<std::mutex> lock(s.mu);
+  const uint64_t last = OwnLast(s, sub);
+  delta.last_sequence = last;
+  if (!s.options.retain_events) {
+    // One cursor: a non-retaining Poll acknowledges what it returns, and
+    // what every subscription has acknowledged moves out of the log.
+    if (last == sub.acked) return delta;
+    const uint64_t from = sub.acked;
+    SetAcked(s, sub, last);
+    EmitRange(s, sub, from, last, /*consume=*/true, MinAcked(s),
+              &delta.events);
+    TrimPrefix(sub, last);
+    TrimLog(s);
+    return delta;
   }
-  delta.last_sequence = s->next_sequence - 1;
-  delta.evicted_through = s->evicted_sequence;
+  // Retained mode: copy past the delivery cursor; events survive until
+  // Acknowledge so a reconnecting subscriber can PollAfter(acked).
+  const uint64_t horizon = Horizon(s, sub);
+  TrimPrefix(sub, std::max(sub.acked, horizon));
+  const uint64_t from = std::max({sub.delivered, sub.acked, horizon});
+  EmitRange(s, sub, from, last, /*consume=*/false, /*move_through=*/0,
+            &delta.events);
+  if (last > from) sub.delivered = last;
+  delta.evicted_through = horizon;
   return delta;
 }
 
 Result<StreamDelta> RelevanceStreamRegistry::PollAfter(StreamId id,
                                                        uint64_t cursor) {
-  StreamState* s = stream(id);
-  if (s == nullptr) return StreamDelta{};
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return StreamDelta{};
   {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->options.retain_events && cursor < s->evicted_sequence) {
-      // The retention cap dropped events past this cursor: the gap cannot
-      // be filled. The subscriber must re-Snapshot for current state, then
-      // resume from the eviction horizon (EvictedThrough).
-      return Status::FailedPrecondition(
-          "cursor evicted: retention cap dropped events through sequence " +
-          std::to_string(s->evicted_sequence) + " (cursor " +
-          std::to_string(cursor) + "); re-snapshot and resume from there");
-    }
-    if (s->options.retain_events && cursor < s->poll_cursor) {
-      s->poll_cursor = cursor;
+    StreamState& s = *ref.stream;
+    Subscription& sub = *ref.sub;
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.options.retain_events) {
+      const uint64_t horizon = Horizon(s, sub);
+      if (cursor < horizon) {
+        // The retention cap dropped events past this cursor: the gap
+        // cannot be filled. The subscriber must re-Snapshot for current
+        // state, then resume from the eviction horizon (EvictedThrough).
+        return Status::FailedPrecondition(
+            "cursor evicted: retention cap dropped events through sequence " +
+            std::to_string(horizon) + " (cursor " + std::to_string(cursor) +
+            "); re-snapshot and resume from there");
+      }
+      if (cursor < sub.delivered) sub.delivered = cursor;
     }
   }
   return Poll(id);
 }
 
 Status RelevanceStreamRegistry::Acknowledge(StreamId id, uint64_t upto) {
-  StreamState* s = stream(id);
-  if (s == nullptr) return Status::NotFound("no such stream");
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (!s->options.retain_events) {
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return Status::NotFound("no such stream");
+  StreamState& s = *ref.stream;
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (!s.options.retain_events) {
     return Status::FailedPrecondition(
         "stream does not retain events (StreamOptions::retain_events)");
   }
-  if (upto >= s->next_sequence) {
+  Subscription& sub = *ref.sub;
+  const uint64_t last = OwnLast(s, sub);
+  if (upto > last) {
     // An ack past the last emitted event would push the cursor into the
     // future — events emitted later with sequence <= upto would silently
     // never be delivered, and the bogus cursor would be persisted.
     return Status::InvalidArgument(
         "acknowledge beyond last emitted event (upto " +
-        std::to_string(upto) + ", last emitted " +
-        std::to_string(s->next_sequence - 1) + ")");
+        std::to_string(upto) + ", last emitted " + std::to_string(last) +
+        ")");
   }
-  if (upto > s->acked_sequence) s->acked_sequence = upto;
-  // Acknowledged implies delivered: never re-deliver at or below `upto`.
-  if (upto > s->poll_cursor) s->poll_cursor = upto;
-  std::vector<StreamEvent>& evs = s->pending_events;
-  evs.erase(std::remove_if(
-                evs.begin(), evs.end(),
-                [&](const StreamEvent& e) { return e.sequence <= upto; }),
-            evs.end());
+  if (upto <= sub.acked) return Status::OK();
+  SetAcked(s, sub, upto);
+  TrimPrefix(sub, std::max(upto, sub.evicted));
+  TrimLog(s);
   return Status::OK();
 }
 
 Result<RelevanceStreamRegistry::StreamPersistState>
 RelevanceStreamRegistry::DumpPersistState(StreamId id) const {
-  StreamState* s = stream(id);
-  if (s == nullptr) return Status::NotFound("no such stream");
-  std::lock_guard<std::mutex> lock(s->mu);
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return Status::NotFound("no such stream");
+  StreamState& s = *ref.stream;
+  std::lock_guard<std::mutex> lock(s.mu);
+  Subscription& sub = *ref.sub;
   StreamPersistState ps;
-  ps.query = s->query;
-  ps.options = s->options;
-  ps.fresh_pool = s->inst.fresh_constants();
-  ps.next_sequence = s->next_sequence;
-  ps.acked_sequence = s->acked_sequence;
-  ps.evicted_through = s->evicted_sequence;
-  ps.retained_events = s->pending_events;
+  ps.query = s.query;
+  ps.options = s.options;
+  ps.fresh_pool = s.inst.fresh_constants();
+  const uint64_t last = OwnLast(s, sub);
+  const uint64_t horizon = Horizon(s, sub);
+  ps.next_sequence = last + 1;
+  ps.acked_sequence = sub.acked;
+  ps.evicted_through = horizon;
+  EmitRange(s, sub, std::max(sub.acked, horizon), last, /*consume=*/false,
+            /*move_through=*/0, &ps.retained_events);
   return ps;
 }
 
@@ -1316,17 +1594,19 @@ void RelevanceStreamRegistry::Refresh(StreamId id) {
               /*performed_after=*/0, /*adom_hit=*/false);
 }
 
-Status RelevanceStreamRegistry::Degrade(StreamId id) {
+Result<bool> RelevanceStreamRegistry::Degrade(StreamId id) {
   StreamState* s = stream(id);
   if (s == nullptr) return Status::NotFound("no such stream");
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->options.force_full_recheck) return Status::OK();  // already degraded
-  // force_full_recheck is consulted at the top of every wave, so flipping
-  // it here (under s.mu, which waves hold) takes effect on the next wave;
-  // the gate indexes become dead weight and are dropped. Verdicts are
+  if (s->full_recheck) return false;  // already degraded
+  // full_recheck is consulted at the top of every wave, so flipping it
+  // here (under s.mu, which waves hold) takes effect on the next wave; the
+  // gate indexes become dead weight and are dropped. Verdicts are
   // unaffected: a full recheck decides exactly what a gated wave would
-  // have (the gate only ever *skips* provably-unchanged bindings).
-  s->options.force_full_recheck = true;
+  // have (the gate only ever *skips* provably-unchanged bindings). The
+  // registered options stay as they were: they key the stream and are
+  // what snapshots persist, so a restored stream starts gated again.
+  s->full_recheck = true;
   s->gate_supported = false;
   s->semijoin_supported = false;
   s->gates.clear();
@@ -1335,21 +1615,25 @@ Status RelevanceStreamRegistry::Degrade(StreamId id) {
   s->fact_index.clear();
   s->fact_index_built = false;
   counters_.Bump(counters_.streams_degraded);
-  return Status::OK();
+  return true;
 }
 
 size_t RelevanceStreamRegistry::RetainedCount(StreamId id) const {
-  StreamState* s = stream(id);
-  if (s == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(s->mu);
-  return s->options.retain_events ? s->pending_events.size() : 0;
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return 0;
+  const StreamState& s = *ref.stream;
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (!s.options.retain_events) return 0;
+  const Subscription& sub = *ref.sub;
+  return static_cast<size_t>(OwnLast(s, sub) -
+                             std::max(sub.acked, Horizon(s, sub)));
 }
 
 uint64_t RelevanceStreamRegistry::EvictedThrough(StreamId id) const {
-  StreamState* s = stream(id);
-  if (s == nullptr) return 0;
-  std::lock_guard<std::mutex> lock(s->mu);
-  return s->evicted_sequence;
+  const SubscriptionRef ref = subscription(id);
+  if (ref.stream == nullptr) return 0;
+  std::lock_guard<std::mutex> lock(ref.stream->mu);
+  return Horizon(*ref.stream, *ref.sub);
 }
 
 }  // namespace rar

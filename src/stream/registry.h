@@ -66,6 +66,23 @@
 // pool. Active-domain growth delta-enumerates exactly the new head
 // bindings via HeadInstantiator::ForEachNewBinding.
 //
+// Sharing: a relevance verdict depends only on the query and the
+// configuration, never on who asks, so registrations with an equal
+// (query, options) key — the query compared per disjunct on head, atoms and
+// variable domains with variable names ignored, and every StreamOptions
+// field — share one stream: its waves run once, whatever the number of
+// subscribers. A StreamId names a *subscription*: a cursor with its own
+// event numbering 1, 2, 3, ... over the shared log. The first
+// registration of a key builds the stream; a later one joins it with a
+// private prefix holding the events a private registration at that moment
+// would emit (kBindingAdded per binding, then each binding's current
+// verdict), numbered from 1, after which shared event s reaches it as
+// s plus a fixed offset. The shared log keeps events from the lowest
+// acknowledged position among the stream's subscriptions; `retain_cap`
+// bounds it, and only subscriptions behind the resulting horizon see
+// their cursor evicted. Snapshot, RelevantBindings, Refresh and Degrade
+// act on the shared stream.
+//
 // Threading: OnApply runs on the applying thread after the engine released
 // its locks; waves serialize per stream (StreamState::mu) while distinct
 // streams and engine-side applies proceed concurrently. Poll/Snapshot are
@@ -77,6 +94,8 @@
 #include <atomic>
 #include <memory>
 #include <shared_mutex>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/engine.h"
@@ -86,18 +105,24 @@
 
 namespace rar {
 
-/// \brief Everything recovery needs to rebuild one stream identically
-/// (src/persist/). Two modes:
+/// \brief Everything recovery needs to rebuild one subscription
+/// identically (src/persist/). Two modes:
 ///
 ///  * `quiet` (snapshot restore): the subscriber already consumed events
-///    up to its acknowledged cursor, so the re-registration's own events
-///    are discarded, the sequence counter is forced to its persisted
-///    value, and the retained un-acknowledged tail is spliced back in —
-///    `PollAfter(acked)` then resumes exactly where the subscriber left
-///    off.
+///    up to its acknowledged cursor, so the registration's own events are
+///    discarded: the subscription's prefix becomes the persisted
+///    un-acknowledged tail and its offset is chosen so its next event gets
+///    the persisted `next_sequence` — `PollAfter(acked)` then resumes
+///    exactly where the subscriber left off.
 ///  * `!quiet` (WAL replay of the original registration): events
 ///    regenerate naturally from sequence 1, exactly as the original
-///    emitted them; only the fresh pool is preset.
+///    emitted them (a later registration of a key joins its stream at the
+///    same log position); only the fresh pool is preset.
+///
+/// A recovered registration joins its key's stream only when it carries
+/// that stream's fresh pool. Otherwise — a directory written before
+/// streams were shared, one pool per registration — it gets a stream of
+/// its own that no later registration joins, so two pools never merge.
 struct StreamRecoveryInfo {
   /// The original registration's fresh pool, in
   /// `HeadInstantiator::fresh_constants()` order (values already
@@ -120,44 +145,51 @@ class RelevanceStreamRegistry : public ApplyListener {
   RelevanceStreamRegistry(const RelevanceStreamRegistry&) = delete;
   RelevanceStreamRegistry& operator=(const RelevanceStreamRegistry&) = delete;
 
-  /// Registers a standing stream for a k-ary (or Boolean) union query:
-  /// enumerates every current head binding, registers the Boolean
-  /// instantiations with the engine, and evaluates them all once.
+  /// Subscribes to the standing stream of a k-ary (or Boolean) union
+  /// query. The first registration of a (query, options) key builds the
+  /// stream: enumerates every current head binding, registers the Boolean
+  /// instantiations with the engine, and evaluates them all once. Later
+  /// registrations of the key join it without running a wave.
   Result<StreamId> Register(const UnionQuery& query,
                             StreamOptions options = {});
 
-  /// Re-registers a stream from persisted state (see StreamRecoveryInfo).
-  /// Recovery only: the engine's configuration must already hold the state
-  /// the info was captured against.
+  /// Re-registers a subscription from persisted state (see
+  /// StreamRecoveryInfo). Recovery only: the engine's configuration must
+  /// already hold the state the info was captured against.
   Result<StreamId> RegisterRecovered(const UnionQuery& query,
                                      StreamOptions options,
                                      const StreamRecoveryInfo& info);
 
+  /// Distinct shared streams (the waves an apply can run).
   size_t num_streams() const;
+  /// Subscriptions, i.e. StreamIds handed out (dense, 0-based).
+  size_t num_subscriptions() const;
 
-  /// Drains the events accumulated since the previous Poll. Retaining
-  /// streams (StreamOptions::retain_events) copy instead: events stay
-  /// queued until Acknowledge, and Poll hands out only those past the
-  /// stream's poll cursor.
+  /// Hands out the subscription's events past its cursor. A non-retaining
+  /// subscription acknowledges what it returns; a retaining one
+  /// (StreamOptions::retain_events) keeps them until Acknowledge and
+  /// advances only its delivery cursor. An empty Poll takes one shared
+  /// lock, one stream mutex and no allocation.
   StreamDelta Poll(StreamId id);
 
-  /// Retained-mode Poll from an explicit cursor: rewinds the poll cursor
-  /// to `cursor` (when behind it) and re-delivers every retained event
-  /// after it — the reconnect/recovery path (`PollAfter(acked)` is gap-
-  /// free). Equivalent to Poll for non-retaining streams. Fails with
-  /// FailedPrecondition when the retention cap has evicted events past
-  /// `cursor` (the gap cannot be filled — re-Snapshot, then resume from
-  /// `EvictedThrough`).
+  /// Retained-mode Poll from an explicit cursor: rewinds the delivery
+  /// cursor to `cursor` (when behind it) and re-delivers every retained
+  /// event after it — the reconnect/recovery path (`PollAfter(acked)` is
+  /// gap-free). Equivalent to Poll for non-retaining subscriptions. Fails
+  /// with FailedPrecondition when the retention cap has evicted events
+  /// past `cursor` (the gap cannot be filled — re-Snapshot, then resume
+  /// from `EvictedThrough`).
   Result<StreamDelta> PollAfter(StreamId id, uint64_t cursor);
 
-  /// Confirms delivery through sequence `upto`: drops retained events at
-  /// or below it and advances the acknowledged cursor (what snapshots
-  /// persist). Fails on non-retaining streams and when `upto` exceeds
-  /// the last emitted sequence (a cursor in the future would suppress
-  /// delivery of events not yet emitted).
+  /// Confirms delivery through sequence `upto`: advances the acknowledged
+  /// cursor (what snapshots persist) and releases the events no
+  /// subscription of the stream still needs. Fails on non-retaining
+  /// subscriptions and when `upto` exceeds the last emitted sequence (a
+  /// cursor in the future would suppress delivery of events not yet
+  /// emitted). Costs O(log subscribers + events released).
   Status Acknowledge(StreamId id, uint64_t upto);
 
-  /// \brief A stream's durable state, as snapshots capture it.
+  /// \brief A subscription's durable state, as snapshots capture it.
   struct StreamPersistState {
     UnionQuery query;
     StreamOptions options;
@@ -169,7 +201,7 @@ class RelevanceStreamRegistry : public ApplyListener {
   };
   Result<StreamPersistState> DumpPersistState(StreamId id) const;
 
-  /// Point-in-time state (bindings included).
+  /// Point-in-time state of the subscription's stream (bindings included).
   StreamSnapshot Snapshot(StreamId id) const;
 
   /// True when some binding still has a relevant frontier access.
@@ -183,20 +215,25 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// recovery hook; normal maintenance is apply-driven).
   void Refresh(StreamId id);
 
-  /// Degrades the stream to conservative mode: sets
-  /// StreamOptions::force_full_recheck and drops the value/fact gate
-  /// indexes (the stream's resident memory beyond the bindings
-  /// themselves). The serving layer's load-shedding hook for hot streams.
-  /// Sound: force_full_recheck is consulted per wave and full rechecks
+  /// Degrades the subscription's (shared) stream to conservative mode:
+  /// full rechecks, as StreamOptions::force_full_recheck gives, and the
+  /// value/fact gate indexes dropped (the stream's resident memory beyond
+  /// the bindings themselves). The serving layer's load-shedding hook for
+  /// hot streams. Sound: the flag is consulted per wave and full rechecks
   /// are verdict-identical to gated ones by the gate's soundness argument
-  /// (DESIGN.md, "Value-gated hit waves"). Idempotent; sticky.
-  Status Degrade(StreamId id);
+  /// (DESIGN.md, "Value-gated hit waves"). Idempotent and sticky: returns
+  /// true only for the call that degraded the stream. Runtime state only:
+  /// the registered options (the sharing key, and what DumpPersistState
+  /// returns) are unchanged.
+  Result<bool> Degrade(StreamId id);
 
-  /// Retained events currently queued (retain_events streams; the serving
-  /// layer's backlog gauge). 0 for unknown or non-retaining streams.
+  /// The subscription's own retained backlog: events emitted to it and
+  /// neither acknowledged nor evicted (the serving layer's backlog gauge).
+  /// 0 for unknown or non-retaining subscriptions.
   size_t RetainedCount(StreamId id) const;
 
-  /// Highest sequence the retention cap has evicted (0 = none).
+  /// Highest sequence (the subscription's numbering) the retention cap
+  /// has evicted before the subscription acknowledged it (0 = none).
   uint64_t EvictedThrough(StreamId id) const;
 
   // ApplyListener:
@@ -204,12 +241,22 @@ class RelevanceStreamRegistry : public ApplyListener {
   void ContributeStats(EngineStats* stats) const override;
 
  private:
-  StreamState* stream(StreamId id) const;
+  /// Where a StreamId lives: its stream and its cursor there.
+  struct SubscriptionRef {
+    StreamState* stream = nullptr;
+    Subscription* sub = nullptr;
+  };
+  SubscriptionRef subscription(StreamId id) const;
+  StreamState* stream(StreamId id) const { return subscription(id).stream; }
 
   /// Shared registration body; `info` non-null on the recovery path.
   Result<StreamId> RegisterInternal(const UnionQuery& query,
                                     StreamOptions options,
                                     const StreamRecoveryInfo* info);
+
+  /// Attaches a subscription to an existing stream (see the class
+  /// comment); `info` non-null on the recovery path.
+  Result<StreamId> Join(StreamState& s, const StreamRecoveryInfo* info);
 
   /// Appends one binding for a slot tuple (registers Q_b with the engine).
   /// Caller holds `s.mu`.
@@ -294,15 +341,20 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// The registry stamp of one binding (see the class comment).
   VersionStamp StampFor(const StreamState& s, const BindingState& b) const;
 
-  /// Appends `events` to the stream's queue, assigning sequence numbers
-  /// and updating the relevant/certain tallies. Caller holds `s.mu`.
+  /// Appends `events` to the stream's shared log, assigning sequence
+  /// numbers, updating the relevant/certain tallies and applying the
+  /// retention cap. Caller holds `s.mu`.
   void CommitEvents(StreamState& s, std::vector<StreamEvent> events);
 
   RelevanceEngine* engine_;
   const size_t num_relations_;
 
-  mutable std::shared_mutex streams_mu_;  ///< guards the streams_ vector
+  /// Guards the three indexes below (streams are never removed).
+  mutable std::shared_mutex streams_mu_;
   std::vector<std::unique_ptr<StreamState>> streams_;
+  std::vector<SubscriptionRef> subscriptions_;  ///< indexed by StreamId
+  /// Sharing key (query structure + options, see StreamKey) -> stream.
+  std::unordered_map<std::string, StreamState*> by_key_;
 
   StreamCounters counters_;
   /// Per-relation count of accesses applied through the engine — the

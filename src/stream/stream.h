@@ -30,7 +30,9 @@
 
 namespace rar {
 
-/// Dense id of a stream within a RelevanceStreamRegistry.
+/// Dense id of a subscription within a RelevanceStreamRegistry: one
+/// registration's cursor on a stream that registrations with an equal
+/// (query, options) key share.
 using StreamId = uint32_t;
 
 /// \brief Per-stream registration knobs.
@@ -59,12 +61,13 @@ struct StreamOptions {
   /// forces this on so persisted cursors always have events to resume
   /// into.
   bool retain_events = false;
-  /// Cap on retained events (retain_events only; 0 = unbounded). When the
-  /// queue exceeds the cap, the oldest events are evicted — a dead or
-  /// lagging subscriber cannot pin memory forever. A cursor behind the
-  /// eviction horizon gets a typed FailedPrecondition from `PollAfter`
-  /// ("cursor evicted"): the subscriber must re-`Snapshot` and resume from
-  /// `StreamDelta::evicted_through`.
+  /// Cap on retained events (retain_events only; 0 = unbounded). When a
+  /// subscription's un-acknowledged backlog exceeds the cap, its oldest
+  /// events are evicted — a dead or lagging subscriber cannot pin memory
+  /// forever, and the other subscribers of the stream are unaffected. A
+  /// cursor behind the eviction horizon gets a typed FailedPrecondition
+  /// from `PollAfter` ("cursor evicted"): the subscriber must re-`Snapshot`
+  /// and resume from `StreamDelta::evicted_through`.
   uint64_t retain_cap = 0;
 };
 
@@ -79,8 +82,8 @@ enum class StreamEventKind : uint8_t {
 const char* ToString(StreamEventKind kind);
 
 /// \brief One delta notification: a binding (full k-tuple of head values)
-/// changed state. `sequence` is per-stream monotone, so clients can
-/// detect missed polls.
+/// changed state. `sequence` numbers one subscription's events 1, 2, 3,
+/// ... without gaps, so clients can detect missed polls.
 struct StreamEvent {
   StreamEventKind kind = StreamEventKind::kBindingAdded;
   std::vector<Value> binding;

@@ -18,6 +18,7 @@ namespace rar {
 /// EngineCounters for the ordering rationale).
 struct StreamCounters {
   std::atomic<uint64_t> streams_registered{0};
+  std::atomic<uint64_t> subscriptions{0};
   std::atomic<uint64_t> bindings_tracked{0};
   std::atomic<uint64_t> new_bindings{0};
   std::atomic<uint64_t> rechecks{0};
@@ -51,6 +52,7 @@ struct StreamCounters {
       return c.load(std::memory_order_relaxed);
     };
     stats->streams_registered += ld(streams_registered);
+    stats->stream_subscriptions += ld(subscriptions);
     stats->stream_bindings += ld(bindings_tracked);
     stats->stream_new_bindings += ld(new_bindings);
     stats->stream_rechecks += ld(rechecks);

@@ -150,12 +150,14 @@ TEST(DedupWindowTest, FreshHitEvictStaleLifecycle) {
   EXPECT_EQ(window.Probe(1, nullptr), DedupWindow::Verdict::kStale);
   EXPECT_EQ(window.Probe(2, nullptr), DedupWindow::Verdict::kHit);
   EXPECT_EQ(window.Probe(4, nullptr), DedupWindow::Verdict::kFresh);
+  EXPECT_EQ(window.next_free_id(), 4u);  // where a resumed client continues
 
   // Snapshot restore re-seeds the watermark before entries re-record.
   DedupWindow restored(2);
   restored.RestoreWatermark(1);
   EXPECT_EQ(restored.Probe(1, nullptr), DedupWindow::Verdict::kStale);
   EXPECT_EQ(restored.Probe(2, nullptr), DedupWindow::Verdict::kFresh);
+  EXPECT_EQ(restored.next_free_id(), 2u);
 
   // Capacity zero disables dedup entirely: every probe is fresh.
   DedupWindow disabled(0);
@@ -869,6 +871,70 @@ TEST(CrashRecoveryTest, RetryStraddlingServerCrashAnswersFromWal) {
     EXPECT_EQ(ev.sequence, ++expect_seq);
   }
   EXPECT_GT(expect_seq, 0u);
+}
+
+// A second client object resuming a token must continue numbering past
+// every request id the session's dedup window has seen. Numbering from 1
+// again would have its first mutations answered from cache (or rejected
+// as stale) without running.
+TEST(ResumeTest, ResumedClientNumbersPastRecordedRequestIds) {
+  ChainWorld world(8);
+  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
+  RelevanceStreamRegistry registry(&engine);
+  SessionServer server(&engine, &registry, {});
+  LoopbackChannel channel(&server);
+
+  RarClient first(&channel, &world.schema, &world.acs);
+  ASSERT_TRUE(first.Hello().ok());
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(first.Apply(world.Link(k), world.LinkFacts(k)).ok());
+  }
+
+  RarClient second(&channel, &world.schema, &world.acs);
+  ASSERT_TRUE(second.Resume(first.token()).ok());
+  const uint64_t applies_before = engine.stats().responses_applied;
+  Result<ApplyResult> applied = second.Apply(world.Link(3), world.LinkFacts(3));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->facts_added, 1u);
+  EXPECT_EQ(engine.stats().responses_applied, applies_before + 1);
+  EXPECT_EQ(engine.stats().server_dedup_hits, 0u);
+}
+
+TEST(ResumeTest, ResumedClientNumbersPastRecordedRequestIdsAfterCrash) {
+  const std::string dir = TestDir("resume_ids");
+  ChainWorld world(8);
+  EngineOptions quiet;
+  quiet.num_threads = 1;
+
+  SessionToken token;
+  {
+    auto durable = DurableSession::Open(world.schema, world.acs, world.conf,
+                                        dir, {}, quiet);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    SessionServer server(durable->get());
+    LoopbackChannel channel(&server);
+    RarClient client(&channel, &world.schema, &world.acs);
+    ASSERT_TRUE(client.Hello().ok());
+    token = client.token();
+    for (int k = 0; k < 3; ++k) {
+      ASSERT_TRUE(client.Apply(world.Link(k), world.LinkFacts(k)).ok());
+    }
+    ASSERT_TRUE((*durable)->Flush().ok());
+  }  // the "crash"
+
+  auto recovered = DurableSession::Open(world.schema, world.acs, world.conf,
+                                        dir, {}, quiet);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  SessionServer server(recovered->get());
+  LoopbackChannel channel(&server);
+  RarClient back(&channel, &world.schema, &world.acs);
+  ASSERT_TRUE(back.Resume(token).ok());
+  const uint64_t applies_before = server.engine().stats().responses_applied;
+  Result<ApplyResult> applied = back.Apply(world.Link(3), world.LinkFacts(3));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_EQ(applied->facts_added, 1u);
+  EXPECT_EQ(server.engine().stats().responses_applied, applies_before + 1);
+  EXPECT_EQ(server.engine().stats().server_dedup_hits, 0u);
 }
 
 }  // namespace

@@ -747,7 +747,10 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&, c]() {
       Rng rng(77 + c);
-      while (!stop.load(std::memory_order_relaxed)) {
+      // At least one batch per checker, even when a loaded host lets the
+      // appliers finish before this thread first runs: the queue-wait
+      // assertion below needs one fan-out.
+      do {
         QueryId qid = qids[rng.Below(qids.size())];
         CheckKind kind = rng.Chance(0.5) ? CheckKind::kImmediate
                                          : CheckKind::kLongTerm;
@@ -757,7 +760,7 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
         for (const TraceEvent& e : engine.obs().trace().LastEvents(32)) {
           if (e.kind == TraceEventKind::kNone) errors.fetch_add(1);
         }
-      }
+      } while (!stop.load(std::memory_order_relaxed));
     });
   }
   for (int g = 0; g < kGroups; ++g) threads[g].join();

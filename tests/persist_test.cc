@@ -968,6 +968,204 @@ TEST(DurableSessionTest, AcknowledgeBeyondLastEmittedIsRejected) {
   EXPECT_GE(next.last_sequence, last);
 }
 
+// One shared stream, three subscriptions at different acknowledged
+// cursors: two captured by a snapshot, one registered in the WAL tail
+// after active-domain growth. After a crash, each one's PollAfter(acked)
+// must return exactly what the session that never crashed returned.
+TEST(DurableSessionTest, SharedStreamSubscriptionsRecoverAtTheirCursors) {
+  PersistFixture fx;
+  const std::string dir = TestDir("shared");
+  struct Cursor {
+    StreamId sid = 0;
+    uint64_t acked = 0;
+    std::vector<StreamEvent> tail;
+  };
+  std::vector<Cursor> cursors;
+  {
+    auto opened = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
+                                       {}, fx.quiet_engine());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSession& session = **opened;
+    auto apply = [&](Access access, std::vector<Fact> response) {
+      ASSERT_TRUE(session.Apply(access, response).ok());
+    };
+    const StreamId s1 = *session.RegisterStream(fx.stream_q);
+    apply(Access{fx.mr, {fx.C("b")}}, {Fact(fx.r, {fx.C("b"), fx.C("n1")})});
+    const StreamId s2 = *session.RegisterStream(fx.stream_q);
+    ASSERT_TRUE(session.Acknowledge(s1, session.Poll(s1).last_sequence).ok());
+    ASSERT_TRUE(
+        session.Acknowledge(s2, session.Poll(s2).last_sequence / 2).ok());
+    apply(Access{fx.ms, {}}, {Fact(fx.s_rel, {fx.C("n1")})});
+    ASSERT_TRUE(session.WriteSnapshot().ok());
+
+    // The WAL tail: growth, a third registration, its acknowledgement.
+    apply(Access{fx.mr, {fx.C("a")}},
+          {Fact(fx.r, {fx.C("a"), fx.C("a")}),
+           Fact(fx.r, {fx.C("a"), fx.C("n2")})});
+    const StreamId s3 = *session.RegisterStream(fx.stream_q);
+    ASSERT_TRUE(session.Acknowledge(s3, 1).ok());
+    apply(Access{fx.mr, {fx.C("n1")}}, {Fact(fx.r, {fx.C("n1"), fx.C("n3")})});
+    apply(Access{fx.ms, {}}, {Fact(fx.s_rel, {fx.C("n3")})});
+
+    EXPECT_EQ(session.streams().num_streams(), 1u);
+    EXPECT_EQ(session.streams().num_subscriptions(), 3u);
+    for (StreamId sid : {s1, s2, s3}) {
+      Cursor c;
+      c.sid = sid;
+      c.acked = session.streams().DumpPersistState(sid)->acked_sequence;
+      Result<StreamDelta> tail = session.PollAfter(sid, c.acked);
+      ASSERT_TRUE(tail.ok());
+      c.tail = tail->events;
+      EXPECT_FALSE(c.tail.empty());
+      cursors.push_back(std::move(c));
+    }
+    EXPECT_NE(cursors[0].acked, cursors[1].acked);
+    EXPECT_NE(cursors[1].acked, cursors[2].acked);
+    ASSERT_TRUE(session.Flush().ok());
+  }  // the "crash"
+
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
+                                        {}, fx.quiet_engine());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE((*recovered)->recovery().from_snapshot);
+  EXPECT_EQ((*recovered)->recovery().replayed_records, 5u);
+  RelevanceStreamRegistry& streams = (*recovered)->streams();
+  EXPECT_EQ(streams.num_streams(), 1u);
+  EXPECT_EQ(streams.num_subscriptions(), 3u);
+  for (const Cursor& c : cursors) {
+    SCOPED_TRACE("subscription " + std::to_string(c.sid));
+    Result<StreamDelta> got = (*recovered)->PollAfter(c.sid, c.acked);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->events.size(), c.tail.size());
+    for (size_t i = 0; i < c.tail.size(); ++i) {
+      EXPECT_EQ(got->events[i].sequence, c.tail[i].sequence) << i;
+      EXPECT_EQ(got->events[i].kind, c.tail[i].kind) << i;
+      EXPECT_TRUE(got->events[i].binding == c.tail[i].binding) << i;
+    }
+  }
+}
+
+// A directory written before streams were shared: two registrations of
+// one key in the WAL, each with its own fresh pool. It still opens; each
+// registration recovers as a stream with its own pool, gap-free from 1,
+// and a new registration of the key joins the first — also after a
+// snapshot of that state is restored.
+TEST(DurableSessionTest, PerRegistrationPoolsFromBeforeSharingRecover) {
+  PersistFixture fx;
+  const std::string dir = TestDir("twopools");
+  PersistEnv* env = GetPosixEnv();
+  ASSERT_TRUE(env->CreateDir(dir).ok());
+  const std::vector<std::string> pools = {"ck_D_first", "ck_D_second"};
+  {
+    auto w = WalWriter::Open(env, dir, /*next_sequence=*/1, "", {});
+    ASSERT_TRUE(w.ok());
+    for (const std::string& pool : pools) {
+      StreamRegisterPayload p;
+      p.query = fx.stream_q;
+      p.options.retain_events = true;
+      p.fresh_pool = {{fx.d, pool}};
+      (*w)->Append(WalRecordType::kStreamRegister,
+                   EncodeStreamRegisterPayload(fx.schema, p));
+    }
+    (*w)->Append(WalRecordType::kApply,
+                 EncodeApplyPayload(fx.schema, fx.acs,
+                                    Access{fx.mr, {fx.C("a")}},
+                                    {Fact(fx.r, {fx.C("a"), fx.C("a")})}));
+    ASSERT_TRUE((*w)->Flush().ok());
+  }
+  auto pool_of = [&](DurableSession& session, StreamId sid) {
+    auto ps = session.streams().DumpPersistState(sid);
+    EXPECT_TRUE(ps.ok());
+    return ps.ok() && ps->fresh_pool.size() == 1
+               ? fx.schema.ConstantSpelling(ps->fresh_pool[0].value)
+               : std::string();
+  };
+  {
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
+                                  fx.quiet_engine());
+    ASSERT_TRUE(s.ok()) << s.status().ToString();
+    DurableSession& session = **s;
+    EXPECT_EQ(session.streams().num_streams(), 2u);
+    std::vector<std::vector<StreamEvent>> seen;
+    for (StreamId sid : {0u, 1u}) {
+      EXPECT_EQ(pool_of(session, sid), pools[sid]);
+      Result<StreamDelta> d = session.PollAfter(sid, 0);
+      ASSERT_TRUE(d.ok());
+      for (size_t i = 0; i < d->events.size(); ++i) {
+        ASSERT_EQ(d->events[i].sequence, i + 1);
+      }
+      seen.push_back(d->events);
+    }
+    ASSERT_EQ(seen[0].size(), seen[1].size());
+    EXPECT_FALSE(seen[0].empty());
+    const StreamId joined = *session.RegisterStream(fx.stream_q);
+    EXPECT_EQ(session.streams().num_streams(), 2u);
+    EXPECT_EQ(pool_of(session, joined), pools[0]);
+    ASSERT_TRUE(session.WriteSnapshot().ok());
+  }
+  auto restored = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
+                                       {}, fx.quiet_engine());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE((*restored)->recovery().from_snapshot);
+  EXPECT_EQ((*restored)->streams().num_streams(), 2u);
+  EXPECT_EQ((*restored)->streams().num_subscriptions(), 3u);
+  EXPECT_EQ(pool_of(**restored, 1), pools[1]);
+  EXPECT_EQ(pool_of(**restored, 2), pools[0]);
+}
+
+// Degrading is runtime state: a snapshot persists the stream's options as
+// registered, so after a restore the query still finds its stream — from
+// the WAL tail and from a live registration alike — and the tail
+// subscription replays what the session that never crashed delivered.
+TEST(DurableSessionTest, DegradedStreamStaysSharedAcrossSnapshotRestore) {
+  PersistFixture fx;
+  const std::string dir = TestDir("degraded");
+  std::vector<StreamEvent> tail;
+  {
+    auto opened = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
+                                       {}, fx.quiet_engine());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    DurableSession& session = **opened;
+    const StreamId first = *session.RegisterStream(fx.stream_q);
+    ASSERT_TRUE(session
+                    .Apply(Access{fx.mr, {fx.C("b")}},
+                           {Fact(fx.r, {fx.C("b"), fx.C("n1")})})
+                    .ok());
+    Result<bool> degraded = session.streams().Degrade(first);
+    ASSERT_TRUE(degraded.ok());
+    EXPECT_TRUE(*degraded);
+    EXPECT_FALSE(
+        session.streams().DumpPersistState(first)->options.force_full_recheck);
+    ASSERT_TRUE(session.WriteSnapshot().ok());
+    const StreamId second = *session.RegisterStream(fx.stream_q);
+    ASSERT_TRUE(
+        session.Apply(Access{fx.ms, {}}, {Fact(fx.s_rel, {fx.C("n1")})}).ok());
+    EXPECT_EQ(session.streams().num_streams(), 1u);
+    Result<StreamDelta> d = session.PollAfter(second, 0);
+    ASSERT_TRUE(d.ok());
+    tail = d->events;
+    ASSERT_TRUE(session.Flush().ok());
+  }  // the "crash"
+
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
+                                        {}, fx.quiet_engine());
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE((*recovered)->recovery().from_snapshot);
+  RelevanceStreamRegistry& streams = (*recovered)->streams();
+  EXPECT_EQ(streams.num_streams(), 1u);
+  EXPECT_EQ(streams.num_subscriptions(), 2u);
+  Result<StreamDelta> got = (*recovered)->PollAfter(1, 0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->events.size(), tail.size());
+  for (size_t i = 0; i < tail.size(); ++i) {
+    EXPECT_EQ(got->events[i].sequence, tail[i].sequence) << i;
+    EXPECT_EQ(got->events[i].kind, tail[i].kind) << i;
+    EXPECT_TRUE(got->events[i].binding == tail[i].binding) << i;
+  }
+  ASSERT_TRUE((*recovered)->RegisterStream(fx.stream_q).ok());
+  EXPECT_EQ(streams.num_streams(), 1u);
+}
+
 // Satellite: JSON export must emit null for non-finite doubles (NaN/Inf
 // literals are invalid JSON and break strict parsers downstream).
 TEST(JsonWriterTest, NonFiniteDoublesRenderAsNull) {

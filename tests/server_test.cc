@@ -739,8 +739,8 @@ UnionQuery GroupStreamQuery(const MultiRelationFamily& f, size_t g) {
 }
 
 // N sessions over one server: appliers replaying disjoint group scripts
-// while subscribers (two per group: overlapping streams) poll, verify
-// gap-free contiguous sequences, and acknowledge. After quiescence every
+// while subscribers (two per group, sharing the group's stream) poll,
+// verify gap-free contiguous sequences, and acknowledge. After quiescence every
 // served snapshot must equal a fresh engine fed the same responses. The
 // TSan CI job runs exactly this interleaving.
 TEST(ServerConcurrencyTest, ConcurrentSessionsGapFreeDeliveryAndParity) {
@@ -867,6 +867,12 @@ TEST(ServerConcurrencyTest, ConcurrentSessionsGapFreeDeliveryAndParity) {
   }
   EXPECT_EQ(st.server_requests_apply, expected_applies);
   EXPECT_EQ(st.server_errors, 0u);
+  // Subscribers of one group share its stream: one stream per group, one
+  // subscription (cursor) per subscriber.
+  EXPECT_EQ(st.streams_registered, static_cast<uint64_t>(kGroups));
+  EXPECT_EQ(st.stream_subscriptions, static_cast<uint64_t>(kSubscribers));
+  EXPECT_EQ(registry.num_streams(), static_cast<size_t>(kGroups));
+  EXPECT_EQ(registry.num_subscriptions(), static_cast<size_t>(kSubscribers));
 }
 
 TEST(TcpTransportTest, ConnectRefusedAndTimeoutAreTypedUnavailable) {

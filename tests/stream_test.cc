@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "engine/engine.h"
@@ -958,6 +959,301 @@ TEST_F(StreamTest, PollDrainsOrderedEvents) {
     }
   }
   EXPECT_TRUE(saw_new_binding);
+}
+
+// --- Shared streams: one wave per key, one cursor per subscription ----
+
+// Per-binding (certain, relevant) state by head values.
+using BindingStates = std::map<std::vector<Value>, std::pair<bool, bool>>;
+
+// Replays a subscription's events from sequence 1: the state a subscriber
+// rebuilds from the delta protocol alone.
+BindingStates FoldEvents(const std::vector<StreamEvent>& events) {
+  BindingStates out;
+  for (const StreamEvent& e : events) {
+    std::pair<bool, bool>& st = out[e.binding];
+    switch (e.kind) {
+      case StreamEventKind::kBindingAdded:
+        break;
+      case StreamEventKind::kBecameCertain:
+        st.first = true;
+        break;
+      case StreamEventKind::kBecameRelevant:
+        st.second = true;
+        break;
+      case StreamEventKind::kBecameIrrelevant:
+        st.second = false;
+        break;
+    }
+  }
+  return out;
+}
+
+BindingStates StatesOf(const StreamSnapshot& snap) {
+  BindingStates out;
+  for (const BindingView& b : snap.bindings) {
+    out[b.binding] = {b.certain, b.relevant};
+  }
+  return out;
+}
+
+// A snapshot keyed for comparison across registries: fresh constants are
+// minted per stream, so fresh bindings compare by their flag.
+std::map<std::string, std::pair<bool, bool>> SnapshotKey(
+    const Schema& schema, const StreamSnapshot& snap) {
+  std::map<std::string, std::pair<bool, bool>> out;
+  for (const BindingView& b : snap.bindings) {
+    std::string key;
+    if (b.has_fresh) {
+      key = "<fresh>";
+    } else {
+      for (const Value& v : b.binding) key += schema.ValueToString(v) + ",";
+    }
+    out[key] = {b.certain, b.relevant};
+  }
+  return out;
+}
+
+// Checks that `events` are numbered 1, 2, 3, ... without gaps.
+void ExpectGapFreeFromOne(const std::vector<StreamEvent>& events,
+                          const char* who) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    ASSERT_EQ(events[i].sequence, i + 1) << who << " event " << i;
+  }
+}
+
+// A two-relation world: Q(X) :- R(X, Y), S(Y) over dependent methods, so
+// bindings are born mid-stream and flip relevant, certain and irrelevant.
+struct SharedWorld {
+  std::shared_ptr<Schema> schema = std::make_shared<Schema>();
+  DomainId d = schema->AddDomain("D");
+  RelationId r = *schema->AddRelation("R", {{"x", d}, {"y", d}});
+  RelationId s = *schema->AddRelation("S", {{"x", d}});
+  AccessMethodSet acs{schema.get()};
+  AccessMethodId mr = *acs.Add("r", r, {0}, /*dependent=*/true);
+  AccessMethodId ms = *acs.Add("s", s, {0}, /*dependent=*/true);
+  Configuration conf{schema.get()};
+  UnionQuery query;
+
+  SharedWorld() {
+    conf.AddSeedConstant(V("a"), d);
+    conf.AddSeedConstant(V("b"), d);
+    ConjunctiveQuery q;
+    VarId x = q.AddVar("X", d);
+    VarId y = q.AddVar("Y", d);
+    q.atoms.push_back(Atom{r, {Term::MakeVar(x), Term::MakeVar(y)}});
+    q.atoms.push_back(Atom{s, {Term::MakeVar(y)}});
+    q.head = {x};
+    query.disjuncts.push_back(q);
+    EXPECT_TRUE(query.Validate(*schema).ok());
+  }
+
+  Value V(const char* name) { return schema->InternConstant(name); }
+
+  /// The scripted responses, in order.
+  std::vector<std::pair<Access, std::vector<Fact>>> Script() {
+    return {
+        {Access{mr, {V("a")}}, {Fact(r, {V("a"), V("n1")})}},
+        {Access{ms, {V("n1")}}, {Fact(s, {V("n1")})}},
+        {Access{mr, {V("b")}}, {Fact(r, {V("b"), V("b")})}},
+        {Access{mr, {V("n1")}}, {Fact(r, {V("n1"), V("n2")})}},
+        {Access{ms, {V("b")}}, {}},
+        {Access{ms, {V("n2")}}, {Fact(s, {V("n2")})}},
+        {Access{mr, {V("n2")}}, {Fact(r, {V("n2"), V("n3")})}},
+    };
+  }
+};
+
+TEST_F(StreamTest, SharedSubscriptionsReplayGapFreeFromOne) {
+  SharedWorld w;
+  auto script = w.Script();
+  StreamOptions retained;
+  retained.retain_events = true;
+  StreamOptions draining;  // non-retaining: Poll acknowledges
+
+  RelevanceEngine engine(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry registry(&engine);
+  // Twin: one subscription per key, fed the same applies.
+  RelevanceEngine twin(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry twin_registry(&twin);
+  auto apply = [&](size_t i) {
+    ASSERT_TRUE(engine.ApplyResponse(script[i].first, script[i].second).ok());
+    ASSERT_TRUE(twin.ApplyResponse(script[i].first, script[i].second).ok());
+  };
+
+  // Subscriptions of each key join at three points: before any apply,
+  // after applies, and after the first subscriber acknowledged past its
+  // registration events.
+  StreamId creator = *registry.Register(w.query, retained);
+  StreamId drain_early = *registry.Register(w.query, draining);
+  StreamId twin_retained = *twin_registry.Register(w.query, retained);
+  StreamId twin_draining = *twin_registry.Register(w.query, draining);
+  std::vector<StreamEvent> creator_seen;
+  std::vector<StreamEvent> drained = registry.Poll(drain_early).events;
+  apply(0);
+  apply(1);
+  StreamId after_applies = *registry.Register(w.query, retained);
+  StreamId drain_late = *registry.Register(w.query, draining);
+  apply(2);
+  {
+    StreamDelta d = registry.Poll(creator);
+    creator_seen = d.events;
+    ASSERT_TRUE(registry.Acknowledge(creator, d.last_sequence).ok());
+    std::vector<StreamEvent> more = registry.Poll(drain_early).events;
+    drained.insert(drained.end(), more.begin(), more.end());
+  }
+  StreamId after_ack = *registry.Register(w.query, retained);
+  StreamId drain_after_ack = *registry.Register(w.query, draining);
+  for (size_t i = 3; i < script.size(); ++i) apply(i);
+
+  // Two keys, two streams, six cursors; joining ran no wave.
+  EXPECT_EQ(registry.num_streams(), 2u);
+  EXPECT_EQ(registry.num_subscriptions(), 6u);
+  EXPECT_EQ(engine.stats().streams_registered, 2u);
+  EXPECT_EQ(engine.stats().stream_subscriptions, 6u);
+  EXPECT_EQ(engine.stats().stream_rechecks, twin.stats().stream_rechecks);
+  EXPECT_EQ(engine.stats().stream_bindings, twin.stats().stream_bindings);
+
+  struct Cursor {
+    const char* who;
+    StreamId sid;
+    std::vector<StreamEvent> events;  ///< everything delivered, in order
+    uint64_t last = 0;
+  };
+  std::vector<Cursor> cursors;
+  {
+    Result<StreamDelta> rest = registry.PollAfter(creator, 0);
+    ASSERT_TRUE(rest.ok());
+    creator_seen.insert(creator_seen.end(), rest->events.begin(),
+                        rest->events.end());
+    cursors.push_back({"creator", creator, creator_seen, rest->last_sequence});
+  }
+  for (auto [who, sid] : {std::pair<const char*, StreamId>{"after_applies",
+                                                           after_applies},
+                          {"after_ack", after_ack}}) {
+    Result<StreamDelta> d = registry.PollAfter(sid, 0);
+    ASSERT_TRUE(d.ok());
+    cursors.push_back({who, sid, d->events, d->last_sequence});
+  }
+  {
+    StreamDelta d = registry.Poll(drain_early);
+    drained.insert(drained.end(), d.events.begin(), d.events.end());
+    cursors.push_back({"drain_early", drain_early, drained, d.last_sequence});
+  }
+  for (auto [who, sid] : {std::pair<const char*, StreamId>{"drain_late",
+                                                           drain_late},
+                          {"drain_after_ack", drain_after_ack}}) {
+    StreamDelta d = registry.Poll(sid);
+    cursors.push_back({who, sid, d.events, d.last_sequence});
+  }
+  for (const Cursor& c : cursors) {
+    SCOPED_TRACE(c.who);
+    ExpectGapFreeFromOne(c.events, c.who);
+    EXPECT_EQ(c.events.size(), c.last);
+    const StreamSnapshot shared = registry.Snapshot(c.sid);
+    EXPECT_EQ(FoldEvents(c.events), StatesOf(shared));
+    const StreamId twin_sid =
+        c.sid == creator || c.sid == after_applies || c.sid == after_ack
+            ? twin_retained
+            : twin_draining;
+    EXPECT_EQ(SnapshotKey(*w.schema, shared),
+              SnapshotKey(*w.schema, twin_registry.Snapshot(twin_sid)));
+  }
+  // A drained non-retaining cursor polls empty; a retained one keeps its
+  // own backlog until it acknowledges.
+  EXPECT_TRUE(registry.Poll(drain_late).events.empty());
+  EXPECT_EQ(registry.RetainedCount(after_ack), cursors[2].events.size());
+  EXPECT_EQ(registry.RetainedCount(drain_late), 0u);
+
+  // A recovered registration with another fresh pool (as a directory
+  // written before streams were shared holds) gets a stream of its own,
+  // never merged; the next registration of the key joins the first one.
+  StreamRecoveryInfo foreign;
+  foreign.fresh_pool = {TypedValue{w.V("not_the_pool"), w.d}};
+  Result<StreamId> own = registry.RegisterRecovered(w.query, retained, foreign);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  EXPECT_EQ(registry.num_streams(), 3u);
+  EXPECT_TRUE(registry.DumpPersistState(*own)->fresh_pool ==
+              foreign.fresh_pool);
+  {
+    Result<StreamDelta> d = registry.PollAfter(*own, 0);
+    ASSERT_TRUE(d.ok());
+    ExpectGapFreeFromOne(d->events, "own pool");
+    EXPECT_EQ(FoldEvents(d->events), StatesOf(registry.Snapshot(*own)));
+    EXPECT_EQ(SnapshotKey(*w.schema, registry.Snapshot(*own)),
+              SnapshotKey(*w.schema, registry.Snapshot(creator)));
+  }
+  const StreamId later = *registry.Register(w.query, retained);
+  EXPECT_EQ(registry.num_streams(), 3u);
+  EXPECT_EQ(registry.num_subscriptions(), 8u);
+  EXPECT_TRUE(registry.DumpPersistState(later)->fresh_pool ==
+              registry.DumpPersistState(creator)->fresh_pool);
+}
+
+TEST_F(StreamTest, RetentionCapEvictsOnlyTheLaggingSubscription) {
+  SharedWorld w;
+  auto script = w.Script();
+  StreamOptions opts;
+  opts.retain_events = true;
+  opts.retain_cap = 4;
+
+  RelevanceEngine engine(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry registry(&engine);
+  // Twin: the lagging subscriber as a private registration.
+  RelevanceEngine twin(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry twin_registry(&twin);
+
+  // The keeper registers first and drains after every apply; the laggard
+  // joins after two applies (so its numbering is offset from the log's)
+  // and never polls.
+  StreamId keeper = *registry.Register(w.query, opts);
+  uint64_t keeper_cursor = 0;
+  std::vector<StreamEvent> keeper_seen;
+  auto keeper_poll = [&] {
+    Result<StreamDelta> d = registry.PollAfter(keeper, keeper_cursor);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    keeper_seen.insert(keeper_seen.end(), d->events.begin(), d->events.end());
+    keeper_cursor = d->last_sequence;
+    ASSERT_TRUE(registry.Acknowledge(keeper, keeper_cursor).ok());
+  };
+  keeper_poll();
+  StreamId laggard = 0;
+  StreamId twin_sid = 0;
+  for (size_t i = 0; i < script.size(); ++i) {
+    if (i == 2) {
+      laggard = *registry.Register(w.query, opts);
+      twin_sid = *twin_registry.Register(w.query, opts);
+    }
+    ASSERT_TRUE(engine.ApplyResponse(script[i].first, script[i].second).ok());
+    ASSERT_TRUE(twin.ApplyResponse(script[i].first, script[i].second).ok());
+    keeper_poll();
+  }
+
+  // The keeper never fell behind: gap-free from 1, nothing evicted.
+  ExpectGapFreeFromOne(keeper_seen, "keeper");
+  EXPECT_EQ(registry.EvictedThrough(keeper), 0u);
+  EXPECT_EQ(FoldEvents(keeper_seen), StatesOf(registry.Snapshot(keeper)));
+
+  // The laggard is evicted exactly where a private registration would be,
+  // in its own numbering.
+  const uint64_t horizon = registry.EvictedThrough(laggard);
+  ASSERT_GT(horizon, 0u);
+  EXPECT_EQ(horizon, twin_registry.EvictedThrough(twin_sid));
+  EXPECT_EQ(registry.RetainedCount(laggard), opts.retain_cap);
+  Result<StreamDelta> stale = registry.PollAfter(laggard, horizon - 1);
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  Result<StreamDelta> resumed = registry.PollAfter(laggard, horizon);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  Result<StreamDelta> twin_resumed = twin_registry.PollAfter(twin_sid, horizon);
+  ASSERT_TRUE(twin_resumed.ok());
+  ASSERT_EQ(resumed->events.size(), twin_resumed->events.size());
+  for (size_t i = 0; i < resumed->events.size(); ++i) {
+    EXPECT_EQ(resumed->events[i].sequence, horizon + 1 + i);
+    EXPECT_EQ(resumed->events[i].sequence, twin_resumed->events[i].sequence);
+    EXPECT_EQ(resumed->events[i].kind, twin_resumed->events[i].kind);
+  }
+  EXPECT_EQ(resumed->evicted_through, horizon);
+  EXPECT_GT(engine.stats().stream_retained_evicted, 0u);
 }
 
 TEST_F(StreamTest, BooleanStreamSettlesSticky) {
