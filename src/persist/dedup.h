@@ -71,12 +71,14 @@ class DedupWindow {
     if (!inserted) return;
     if (request_id > highest_recorded_) highest_recorded_ = request_id;
     order_.push_back(request_id);
-    while (order_.size() > capacity_) {
-      const uint64_t evicted = order_.front();
-      order_.pop_front();
-      entries_.erase(evicted);
-      if (evicted > evicted_watermark_) evicted_watermark_ = evicted;
-    }
+    EvictPastCapacity();
+  }
+
+  /// Changes the capacity; shrinking evicts the oldest entries into the
+  /// stale watermark, exactly as if they had aged out.
+  void Resize(size_t capacity) {
+    capacity_ = capacity;
+    EvictPastCapacity();
   }
 
   size_t size() const { return order_.size(); }
@@ -105,6 +107,15 @@ class DedupWindow {
   void RestoreWatermark(uint64_t watermark) { evicted_watermark_ = watermark; }
 
  private:
+  void EvictPastCapacity() {
+    while (order_.size() > capacity_) {
+      const uint64_t evicted = order_.front();
+      order_.pop_front();
+      entries_.erase(evicted);
+      if (evicted > evicted_watermark_) evicted_watermark_ = evicted;
+    }
+  }
+
   size_t capacity_;
   std::unordered_map<uint64_t, Entry> entries_;
   std::deque<uint64_t> order_;  ///< completion order, for FIFO eviction

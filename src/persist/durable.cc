@@ -1,6 +1,7 @@
 #include "persist/durable.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "persist/wal_format.h"
@@ -14,6 +15,14 @@ std::string Basename(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
+/// Monotonic clock for idle accounting (ms).
+uint64_t NowMs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
 // Wire request-type bytes the tagged WAL records correspond to. These
 // mirror server/protocol.h's MessageType (wire-stable, never renumbered);
 // they are duplicated here so the persist layer does not depend on the
@@ -22,26 +31,47 @@ constexpr uint8_t kWireRegisterQueryByte = 2;
 constexpr uint8_t kWireRegisterStreamByte = 3;
 constexpr uint8_t kWireApplyByte = 4;
 
-std::string EncodeCachedApplyResult(uint32_t facts_added,
-                                    uint64_t wal_sequence) {
-  // Byte-identical to the wire's EncodeApplyResult, so the server can
-  // serve a cached outcome verbatim as the kApplyOk payload.
+// The response payloads a serving session's dedup window caches, encoded
+// here only: byte-identical to the wire's kApplyOk payload (protocol.h
+// ApplyResult) and to the register responses' u32 handle, so the server
+// sends a cached outcome verbatim.
+std::string EncodeApplyOk(int facts_added, uint64_t wal_sequence) {
   std::string out;
   BinWriter w(&out);
-  w.U32(facts_added);
+  w.U32(static_cast<uint32_t>(facts_added));
   w.U64(wal_sequence);
   return out;
 }
 
-std::string EncodeCachedHandle(uint32_t handle) {
-  // Byte-identical to the wire's register response payload (u32 handle).
+std::string EncodeHandle(size_t handle) {
   std::string out;
   BinWriter w(&out);
-  w.U32(handle);
+  w.U32(static_cast<uint32_t>(handle));
   return out;
 }
 
 }  // namespace
+
+DurableSession::DurableSession(const Schema& schema, const AccessMethodSet& acs,
+                               PersistEnv* env, std::string dir,
+                               PersistOptions options)
+    : schema_(&schema),
+      acs_(&acs),
+      env_(env),
+      dir_(std::move(dir)),
+      options_(options),
+      nonce_seed_(static_cast<uint64_t>(
+                      std::chrono::steady_clock::now().time_since_epoch()
+                          .count()) ^
+                  reinterpret_cast<uintptr_t>(this)) {}
+
+DurableSession::DurableSession(RelevanceEngine* engine,
+                               RelevanceStreamRegistry* registry)
+    : DurableSession(engine->schema(), engine->access_methods(), nullptr, "",
+                     {}) {
+  engine_ = engine;
+  registry_ = registry;
+}
 
 Result<std::unique_ptr<DurableSession>> DurableSession::Open(
     const Schema& schema, const AccessMethodSet& acs,
@@ -88,9 +118,12 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
   } else {
     conf = bootstrap;
   }
-  s->engine_ = std::make_unique<RelevanceEngine>(schema, acs, std::move(conf),
-                                                 engine_options);
-  s->registry_ = std::make_unique<RelevanceStreamRegistry>(s->engine_.get());
+  s->owned_engine_ = std::make_unique<RelevanceEngine>(
+      schema, acs, std::move(conf), engine_options);
+  s->owned_registry_ =
+      std::make_unique<RelevanceStreamRegistry>(s->owned_engine_.get());
+  s->engine_ = s->owned_engine_.get();
+  s->registry_ = s->owned_registry_.get();
   if (have_snapshot) {
     s->engine_->RestorePerformed(snap.performed);
     for (const UnionQuery& q : snap.queries) {
@@ -112,24 +145,22 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
       (void)sid;  // ids are dense registration order, restored exactly
     }
     for (SnapshotSessionState& ss : snap.sessions) {
-      DurableServerSession ds;
-      ds.nonce = ss.nonce;
-      ds.query_regs = std::move(ss.query_regs);
-      ds.streams.assign(ss.streams.begin(), ss.streams.end());
-      ds.dedup = DedupWindow(options.dedup_window);
-      ds.dedup.RestoreWatermark(ss.dedup_watermark);
+      std::shared_ptr<ServingSession> rs =
+          s->NewServingSession(ss.id, ss.nonce);
+      rs->query_regs = std::move(ss.query_regs);
+      rs->streams.assign(ss.streams.begin(), ss.streams.end());
+      rs->dedup.RestoreWatermark(ss.dedup_watermark);
       for (SnapshotSessionState::DedupEntry& e : ss.dedup) {
-        ds.dedup.Record(e.request_id, e.type, std::move(e.response_payload));
+        rs->dedup.Record(e.request_id, e.type, std::move(e.response_payload));
       }
-      s->server_sessions_.emplace(ss.id, std::move(ds));
     }
     s->recovery_.from_snapshot = true;
     s->recovery_.snapshot_sequence = snap.last_sequence;
   }
 
-  // Replay the log tail. The hook is not attached yet, so replayed applies
-  // are not re-logged; the registry *is* attached, so stream events
-  // regenerate in original order.
+  // Replay the log tail. The hook is not attached and the log not open
+  // yet, so replayed mutations are not re-logged; the registry *is*
+  // attached, so stream events regenerate in original order.
   RAR_ASSIGN_OR_RETURN(WalReadResult log,
                        ReadWal(env, dir, have_snapshot ? snap.last_sequence
                                                        : 0));
@@ -187,38 +218,152 @@ Result<std::unique_ptr<DurableSession>> DurableSession::Open(
 }
 
 DurableSession::~DurableSession() {
-  if (engine_ != nullptr) {
-    engine_->SetPersistHook(nullptr);
-    engine_->RemoveApplyListener(this);
+  if (wal_ == nullptr) return;  // nothing attached, nothing to flush
+  engine_->SetPersistHook(nullptr);
+  engine_->RemoveApplyListener(this);
+  (void)wal_->Flush();  // best effort; Close()/Flush() report errors
+}
+
+std::unique_lock<std::mutex> DurableSession::LockIfLogged() {
+  return wal_ != nullptr ? std::unique_lock<std::mutex>(session_mu_)
+                         : std::unique_lock<std::mutex>();
+}
+
+template <typename Encode>
+Status DurableSession::Log(WalRecordType type, const Tag* tag,
+                           Encode&& encode) {
+  if (wal_ == nullptr) return Status::OK();
+  RAR_ASSIGN_OR_RETURN(std::string payload, Result<std::string>(encode()));
+  if (tag != nullptr) {
+    payload = EncodeTaggedPayload(tag->first, tag->second, payload);
   }
-  if (wal_ != nullptr) {
-    (void)wal_->Flush();  // best effort; Close()/Flush() report errors
+  RAR_RETURN_NOT_OK(wal_->WaitDurable(wal_->Append(type, payload)));
+  records_since_snapshot_ += 1;
+  return Status::OK();
+}
+
+template <typename Execute>
+Result<DurableSession::Outcome> DurableSession::Dedup(ServingSession& session,
+                                                      uint64_t request_id,
+                                                      uint8_t type,
+                                                      Execute&& execute) {
+  Outcome o;
+  const DedupWindow::Entry* cached = nullptr;
+  o.verdict = session.dedup.Probe(request_id, &cached);
+  if (cached != nullptr) {
+    o.type = cached->type;
+    o.response = cached->response_payload;
+  } else if (o.verdict == DedupWindow::Verdict::kFresh) {
+    RAR_ASSIGN_OR_RETURN(o.response, execute());
+    o.type = type;
+    session.dedup.Record(request_id, type, o.response);
   }
+  return o;
+}
+
+Result<int> DurableSession::ApplyLocked(const Access& access,
+                                        const std::vector<Fact>& response,
+                                        const Tag* tag) {
+  if (wal_ == nullptr) return engine_->ApplyResponse(access, response);
+  // The engine calls back into LogApply inside its critical section and
+  // WaitDurable before notifying listeners (see PersistHook in engine.h);
+  // the tag rides pending_apply_tag_ so the WAL record carries it.
+  pending_apply_tag_ = tag;
+  Result<int> added = engine_->ApplyResponse(access, response);
+  pending_apply_tag_ = nullptr;
+  if (added.ok()) records_since_snapshot_ += 1;
+  return added;
+}
+
+Result<QueryId> DurableSession::RegisterQueryLocked(const UnionQuery& query,
+                                                    const Tag* tag) {
+  // Mutate first, log on success: the WAL then holds only registrations
+  // replay can repeat verbatim. A crash between the two loses a
+  // registration the caller was never told succeeded.
+  RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(query));
+  RAR_RETURN_NOT_OK(Log(tag != nullptr ? WalRecordType::kQueryRegisterTagged
+                                       : WalRecordType::kQueryRegister,
+                        tag, [&] {
+                          return EncodeQueryRegisterPayload(*schema_, query);
+                        }));
+  direct_queries_.push_back(query);
+  direct_qids_.push_back(qid);
+  return qid;
+}
+
+Result<StreamId> DurableSession::RegisterStreamLocked(const UnionQuery& query,
+                                                      StreamOptions options,
+                                                      const Tag* tag) {
+  options.retain_events = true;  // persisted cursors need retained events
+  RAR_ASSIGN_OR_RETURN(StreamId id, registry_->Register(query, options));
+  RAR_RETURN_NOT_OK(Log(
+      tag != nullptr ? WalRecordType::kStreamRegisterTagged
+                     : WalRecordType::kStreamRegister,
+      tag, [&]() -> Result<std::string> {
+        RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,
+                             registry_->DumpPersistState(id));
+        StreamRegisterPayload p;
+        p.query = query;
+        p.options = options;
+        p.fresh_pool.reserve(ps.fresh_pool.size());
+        for (const TypedValue& tv : ps.fresh_pool) {
+          p.fresh_pool.emplace_back(tv.domain,
+                                    schema_->ConstantSpelling(tv.value));
+        }
+        return EncodeStreamRegisterPayload(*schema_, p);
+      }));
+  return id;
 }
 
 Status DurableSession::ReplayRecord(const WalRecord& rec) {
+  // A tagged record is its untagged twin behind a {session, request} tag;
+  // its outcome is re-recorded in that session's window exactly as the
+  // original served it, so a retry that straddles the crash still answers
+  // from the window. The session may have been retired since.
+  std::string_view body = rec.payload;
+  uint64_t request_id = 0;
+  ServingSession* tagged = nullptr;
+  if (rec.type == WalRecordType::kApplyTagged ||
+      rec.type == WalRecordType::kQueryRegisterTagged ||
+      rec.type == WalRecordType::kStreamRegisterTagged) {
+    uint64_t session_id = 0;
+    RAR_RETURN_NOT_OK(
+        SplitTaggedPayload(rec.payload, &session_id, &request_id, &body));
+    auto it = sessions_.find(session_id);
+    if (it != sessions_.end()) tagged = it->second.get();
+  }
   switch (rec.type) {
-    case WalRecordType::kApply: {
+    case WalRecordType::kApply:
+    case WalRecordType::kApplyTagged: {
       Access access;
       std::vector<Fact> response;
-      RAR_RETURN_NOT_OK(DecodeApplyPayload(*schema_, *acs_, rec.payload,
-                                           &access, &response));
+      RAR_RETURN_NOT_OK(
+          DecodeApplyPayload(*schema_, *acs_, body, &access, &response));
       RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
       recovery_.replayed_facts += static_cast<uint64_t>(added);
+      if (tagged != nullptr) {
+        tagged->dedup.Record(request_id, kWireApplyByte,
+                             EncodeApplyOk(added, rec.sequence));
+      }
       return Status::OK();
     }
-    case WalRecordType::kQueryRegister: {
+    case WalRecordType::kQueryRegister:
+    case WalRecordType::kQueryRegisterTagged: {
       UnionQuery q;
-      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, rec.payload, &q));
-      RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(q));
-      direct_queries_.push_back(std::move(q));
-      direct_qids_.push_back(qid);
+      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, body, &q));
+      RAR_RETURN_NOT_OK(RegisterQueryLocked(q, nullptr).status());
+      if (tagged != nullptr) {
+        tagged->query_regs.push_back(
+            static_cast<uint32_t>(direct_qids_.size() - 1));
+        tagged->dedup.Record(request_id, kWireRegisterQueryByte,
+                             EncodeHandle(tagged->query_regs.size() - 1));
+      }
       return Status::OK();
     }
-    case WalRecordType::kStreamRegister: {
+    case WalRecordType::kStreamRegister:
+    case WalRecordType::kStreamRegisterTagged: {
       StreamRegisterPayload p;
-      RAR_RETURN_NOT_OK(
-          DecodeStreamRegisterPayload(*schema_, rec.payload, &p));
+      RAR_RETURN_NOT_OK(DecodeStreamRegisterPayload(*schema_, body, &p));
       StreamRecoveryInfo info;  // !quiet: events regenerate from sequence 1
       info.fresh_pool.reserve(p.fresh_pool.size());
       for (const auto& [domain, spelling] : p.fresh_pool) {
@@ -227,95 +372,29 @@ Status DurableSession::ReplayRecord(const WalRecord& rec) {
       }
       RAR_ASSIGN_OR_RETURN(
           StreamId id, registry_->RegisterRecovered(p.query, p.options, info));
-      (void)id;
+      if (tagged != nullptr) {
+        tagged->streams.push_back(id);
+        tagged->dedup.Record(request_id, kWireRegisterStreamByte,
+                             EncodeHandle(tagged->streams.size() - 1));
+      }
       return Status::OK();
     }
     case WalRecordType::kStreamCursor: {
       uint32_t sid = 0;
       uint64_t acked = 0;
-      RAR_RETURN_NOT_OK(DecodeStreamCursorPayload(rec.payload, &sid, &acked));
+      RAR_RETURN_NOT_OK(DecodeStreamCursorPayload(body, &sid, &acked));
       return registry_->Acknowledge(sid, acked);
     }
     case WalRecordType::kSessionOpen: {
       uint64_t id = 0, nonce = 0;
-      RAR_RETURN_NOT_OK(DecodeSessionOpenPayload(rec.payload, &id, &nonce));
-      DurableServerSession ds;
-      ds.nonce = nonce;
-      ds.dedup = DedupWindow(options_.dedup_window);
-      server_sessions_[id] = std::move(ds);
+      RAR_RETURN_NOT_OK(DecodeSessionOpenPayload(body, &id, &nonce));
+      NewServingSession(id, nonce);
       return Status::OK();
     }
     case WalRecordType::kSessionRetire: {
       uint64_t id = 0;
-      RAR_RETURN_NOT_OK(DecodeSessionRetirePayload(rec.payload, &id));
-      server_sessions_.erase(id);
-      return Status::OK();
-    }
-    case WalRecordType::kApplyTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      Access access;
-      std::vector<Fact> response;
-      RAR_RETURN_NOT_OK(
-          DecodeApplyPayload(*schema_, *acs_, inner, &access, &response));
-      RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
-      recovery_.replayed_facts += static_cast<uint64_t>(added);
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        // Re-record the outcome exactly as the original served it, so a
-        // retry that straddles the crash still answers from the window.
-        it->second.dedup.Record(
-            request_id, kWireApplyByte,
-            EncodeCachedApplyResult(static_cast<uint32_t>(added),
-                                    rec.sequence));
-      }
-      return Status::OK();
-    }
-    case WalRecordType::kQueryRegisterTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      UnionQuery q;
-      RAR_RETURN_NOT_OK(DecodeQueryRegisterPayload(*schema_, inner, &q));
-      RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(q));
-      direct_queries_.push_back(std::move(q));
-      direct_qids_.push_back(qid);
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        const uint32_t handle =
-            static_cast<uint32_t>(it->second.query_regs.size());
-        it->second.query_regs.push_back(
-            static_cast<uint32_t>(direct_qids_.size() - 1));
-        it->second.dedup.Record(request_id, kWireRegisterQueryByte,
-                                EncodeCachedHandle(handle));
-      }
-      return Status::OK();
-    }
-    case WalRecordType::kStreamRegisterTagged: {
-      uint64_t session_id = 0, request_id = 0;
-      std::string_view inner;
-      RAR_RETURN_NOT_OK(
-          SplitTaggedPayload(rec.payload, &session_id, &request_id, &inner));
-      StreamRegisterPayload p;
-      RAR_RETURN_NOT_OK(DecodeStreamRegisterPayload(*schema_, inner, &p));
-      StreamRecoveryInfo info;  // !quiet: events regenerate from sequence 1
-      info.fresh_pool.reserve(p.fresh_pool.size());
-      for (const auto& [domain, spelling] : p.fresh_pool) {
-        info.fresh_pool.push_back(
-            TypedValue{schema_->InternConstant(spelling), domain});
-      }
-      RAR_ASSIGN_OR_RETURN(
-          StreamId id, registry_->RegisterRecovered(p.query, p.options, info));
-      auto it = server_sessions_.find(session_id);
-      if (it != server_sessions_.end()) {
-        const uint32_t handle = static_cast<uint32_t>(it->second.streams.size());
-        it->second.streams.push_back(id);
-        it->second.dedup.Record(request_id, kWireRegisterStreamByte,
-                                EncodeCachedHandle(handle));
-      }
+      RAR_RETURN_NOT_OK(DecodeSessionRetirePayload(body, &id));
+      sessions_.erase(id);
       return Status::OK();
     }
   }
@@ -324,261 +403,201 @@ Status DurableSession::ReplayRecord(const WalRecord& rec) {
 
 Result<int> DurableSession::Apply(const Access& access,
                                   const std::vector<Fact>& response) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  // The engine calls back into LogApply inside its critical section and
-  // WaitDurable before notifying listeners (see PersistHook in engine.h).
-  RAR_ASSIGN_OR_RETURN(int added, engine_->ApplyResponse(access, response));
-  records_since_snapshot_ += 1;
+  std::unique_lock<std::mutex> lock = LockIfLogged();
+  RAR_ASSIGN_OR_RETURN(int added, ApplyLocked(access, response, nullptr));
   RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
   return added;
 }
 
 Result<QueryId> DurableSession::RegisterQuery(const UnionQuery& query) {
   std::lock_guard<std::mutex> lock(session_mu_);
-  // Mutate first, log on success: the WAL then holds only registrations
-  // replay can repeat verbatim. A crash between the two loses a
-  // registration the caller was never told succeeded.
-  RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(query));
-  uint64_t seq = wal_->Append(WalRecordType::kQueryRegister,
-                              EncodeQueryRegisterPayload(*schema_, query));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  direct_queries_.push_back(query);
-  direct_qids_.push_back(qid);
-  records_since_snapshot_ += 1;
-  return qid;
+  return RegisterQueryLocked(query, nullptr);
 }
 
 Result<StreamId> DurableSession::RegisterStream(const UnionQuery& query,
                                                 StreamOptions options) {
   std::lock_guard<std::mutex> lock(session_mu_);
-  options.retain_events = true;  // persisted cursors need retained events
-  RAR_ASSIGN_OR_RETURN(StreamId id, registry_->Register(query, options));
-  RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,
-                       registry_->DumpPersistState(id));
-  StreamRegisterPayload p;
-  p.query = query;
-  p.options = options;
-  p.fresh_pool.reserve(ps.fresh_pool.size());
-  for (const TypedValue& tv : ps.fresh_pool) {
-    p.fresh_pool.emplace_back(tv.domain, schema_->ConstantSpelling(tv.value));
-  }
-  uint64_t seq = wal_->Append(WalRecordType::kStreamRegister,
-                              EncodeStreamRegisterPayload(*schema_, p));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
-  return id;
+  return RegisterStreamLocked(query, options, nullptr);
 }
 
 Status DurableSession::Acknowledge(StreamId id, uint64_t upto) {
-  std::lock_guard<std::mutex> lock(session_mu_);
+  std::unique_lock<std::mutex> lock = LockIfLogged();
   RAR_RETURN_NOT_OK(registry_->Acknowledge(id, upto));
-  uint64_t seq = wal_->Append(WalRecordType::kStreamCursor,
-                              EncodeStreamCursorPayload(id, upto));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
-  return Status::OK();
+  return Log(WalRecordType::kStreamCursor, nullptr,
+             [&] { return EncodeStreamCursorPayload(id, upto); });
 }
 
 Status DurableSession::Flush() {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  return wal_->Flush();
+  std::unique_lock<std::mutex> lock = LockIfLogged();
+  return wal_ != nullptr ? wal_->Flush() : Status::OK();
 }
 
-Status DurableSession::OpenServerSession(uint64_t session_id, uint64_t nonce) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  uint64_t seq = wal_->Append(WalRecordType::kSessionOpen,
-                              EncodeSessionOpenPayload(session_id, nonce));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  DurableServerSession ds;
-  ds.nonce = nonce;
-  ds.dedup = DedupWindow(options_.dedup_window);
-  server_sessions_[session_id] = std::move(ds);
-  records_since_snapshot_ += 1;
-  return Status::OK();
+std::shared_ptr<DurableSession::ServingSession>
+DurableSession::NewServingSession(uint64_t id, uint64_t nonce) {
+  auto session = std::make_shared<ServingSession>(dedup_capacity_.load());
+  session->id = id;
+  session->nonce = nonce;
+  session->last_active_ms.store(NowMs(), std::memory_order_relaxed);
+  sessions_[id] = session;
+  next_session_id_ = std::max(next_session_id_, id + 1);
+  return session;
 }
 
-Status DurableSession::RetireServerSession(uint64_t session_id) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  if (server_sessions_.erase(session_id) == 0) return Status::OK();
-  uint64_t seq = wal_->Append(WalRecordType::kSessionRetire,
-                              EncodeSessionRetirePayload(session_id));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  records_since_snapshot_ += 1;
-  return Status::OK();
-}
-
-std::vector<DurableSession::RecoveredServerSession>
-DurableSession::server_sessions() const {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  std::vector<RecoveredServerSession> out;
-  out.reserve(server_sessions_.size());
-  for (const auto& [id, s] : server_sessions_) {
-    RecoveredServerSession r;
-    r.id = id;
-    r.nonce = s.nonce;
-    r.query_regs = s.query_regs;
-    r.streams = s.streams;
-    out.push_back(std::move(r));
+Result<std::shared_ptr<DurableSession::ServingSession>>
+DurableSession::OpenServerSession(uint32_t max_sessions) {
+  std::unique_lock<std::mutex> log_lock = LockIfLogged();
+  std::shared_ptr<ServingSession> session;
+  {
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    if (max_sessions > 0 && sessions_.size() >= max_sessions) return session;
+    // splitmix64 finalizer over (seed, id): unguessable enough that a
+    // client cannot trivially forge another session's nonce, cheap enough
+    // to mint under the lock.
+    const uint64_t id = next_session_id_;
+    uint64_t z = nonce_seed_ + id * 0x9E3779B97F4A7C15ull;
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    session = NewServingSession(id, z ^ (z >> 31));
   }
-  return out;
+  Status logged = Log(WalRecordType::kSessionOpen, nullptr, [&] {
+    return EncodeSessionOpenPayload(session->id, session->nonce);
+  });
+  if (!logged.ok()) {
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    sessions_.erase(session->id);
+    return logged;
+  }
+  return session;
 }
 
-uint64_t DurableSession::NextRequestId(uint64_t session_id) const {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  return it == server_sessions_.end() ? 1 : it->second.dedup.next_free_id();
+std::shared_ptr<DurableSession::ServingSession>
+DurableSession::FindServerSession(uint64_t session_id, uint64_t nonce) {
+  std::shared_lock<std::shared_mutex> lock(table_mu_);
+  auto it = sessions_.find(session_id);
+  if (it == sessions_.end() || it->second->nonce != nonce) return nullptr;
+  it->second->last_active_ms.store(NowMs(), std::memory_order_relaxed);
+  return it->second;
 }
 
-Result<DurableSession::TaggedOutcome> DurableSession::ApplyTagged(
-    uint64_t session_id, uint64_t request_id, const Access& access,
+bool DurableSession::RetireServerSession(uint64_t session_id,
+                                         uint64_t nonce) {
+  {
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    auto it = sessions_.find(session_id);
+    if (it == sessions_.end() || it->second->nonce != nonce) return false;
+    sessions_.erase(it);
+  }
+  LogRetirements({session_id});
+  return true;
+}
+
+size_t DurableSession::ReapIdleServerSessions(uint64_t idle_timeout_ms) {
+  std::vector<uint64_t> reaped;
+  {
+    std::unique_lock<std::shared_mutex> lock(table_mu_);
+    // Read the clock under the lock: every stamp of last_active_ms happens
+    // under the table lock, so none is newer than `now` (read before the
+    // lock, a concurrent stamp would make `now - last` wrap around and
+    // retire an active session).
+    const uint64_t now = NowMs();
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      const uint64_t last =
+          it->second->last_active_ms.load(std::memory_order_relaxed);
+      if (now - last > idle_timeout_ms) {
+        reaped.push_back(it->first);
+        it = sessions_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  LogRetirements(reaped);
+  return reaped.size();
+}
+
+void DurableSession::LogRetirements(const std::vector<uint64_t>& ids) {
+  std::unique_lock<std::mutex> lock = LockIfLogged();
+  for (uint64_t id : ids) {
+    // Best effort: if the retirement cannot be logged the session merely
+    // resurrects on recovery and is reaped as idle — harmless.
+    (void)Log(WalRecordType::kSessionRetire, nullptr,
+              [&] { return EncodeSessionRetirePayload(id); });
+  }
+}
+
+size_t DurableSession::num_server_sessions() const {
+  std::shared_lock<std::shared_mutex> lock(table_mu_);
+  return sessions_.size();
+}
+
+void DurableSession::SizeDedupWindows(size_t capacity) {
+  std::lock_guard<std::mutex> log_lock(session_mu_);
+  std::vector<std::shared_ptr<ServingSession>> sessions;
+  {
+    std::shared_lock<std::shared_mutex> lock(table_mu_);
+    dedup_capacity_.store(capacity);
+    for (const auto& [id, session] : sessions_) sessions.push_back(session);
+  }
+  for (const std::shared_ptr<ServingSession>& session : sessions) {
+    std::lock_guard<std::mutex> lock(session->mu);
+    session->dedup.Resize(capacity);
+  }
+}
+
+Result<DurableSession::Outcome> DurableSession::ApplyTagged(
+    ServingSession& session, uint64_t request_id, const Access& access,
     const std::vector<Fact>& response) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
+  std::unique_lock<std::mutex> log_lock = LockIfLogged();
+  std::lock_guard<std::mutex> lock(session.mu);
+  const Tag tag{session.id, request_id};
+  RAR_ASSIGN_OR_RETURN(
+      Outcome o,
+      Dedup(session, request_id, kWireApplyByte, [&]() -> Result<std::string> {
+        RAR_ASSIGN_OR_RETURN(int added, ApplyLocked(access, response, &tag));
+        return EncodeApplyOk(added, last_sequence());
+      }));
+  // After the record: a snapshot covering this apply's WAL record must
+  // also hold its dedup entry.
+  if (o.verdict == DedupWindow::Verdict::kFresh) {
+    RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
   }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  // The engine calls back into LogApply inside its critical section (same
-  // thread); the tag rides this stack slot so the WAL record carries it.
-  const std::pair<uint64_t, uint64_t> tag{session_id, request_id};
-  pending_apply_tag_ = &tag;
-  Result<int> added = engine_->ApplyResponse(access, response);
-  pending_apply_tag_ = nullptr;
-  RAR_RETURN_NOT_OK(added.status());
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireApplyByte;
-  o.facts_added = *added;
-  o.response = EncodeCachedApplyResult(static_cast<uint32_t>(*added),
-                                       wal_->last_sequence());
-  win.Record(request_id, kWireApplyByte, o.response);
-  records_since_snapshot_ += 1;
-  RAR_RETURN_NOT_OK(MaybeAutoSnapshotLocked());
   return o;
 }
 
-Result<DurableSession::TaggedOutcome> DurableSession::RegisterQueryTagged(
-    uint64_t session_id, uint64_t request_id, const UnionQuery& query) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
-  }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  RAR_ASSIGN_OR_RETURN(QueryId qid, engine_->RegisterQuery(query));
-  uint64_t seq = wal_->Append(
-      WalRecordType::kQueryRegisterTagged,
-      EncodeTaggedPayload(session_id, request_id,
-                          EncodeQueryRegisterPayload(*schema_, query)));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  direct_queries_.push_back(query);
-  direct_qids_.push_back(qid);
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireRegisterQueryByte;
-  o.query_id = qid;
-  o.handle = static_cast<uint32_t>(it->second.query_regs.size());
-  it->second.query_regs.push_back(
-      static_cast<uint32_t>(direct_qids_.size() - 1));
-  o.response = EncodeCachedHandle(o.handle);
-  win.Record(request_id, kWireRegisterQueryByte, o.response);
-  records_since_snapshot_ += 1;
-  return o;
+Result<DurableSession::Outcome> DurableSession::RegisterQueryTagged(
+    ServingSession& session, uint64_t request_id, const UnionQuery& query) {
+  std::lock_guard<std::mutex> log_lock(session_mu_);
+  std::lock_guard<std::mutex> lock(session.mu);
+  const Tag tag{session.id, request_id};
+  return Dedup(session, request_id, kWireRegisterQueryByte,
+               [&]() -> Result<std::string> {
+                 RAR_RETURN_NOT_OK(RegisterQueryLocked(query, &tag).status());
+                 session.query_regs.push_back(
+                     static_cast<uint32_t>(direct_qids_.size() - 1));
+                 return EncodeHandle(session.query_regs.size() - 1);
+               });
 }
 
-Result<DurableSession::TaggedOutcome> DurableSession::RegisterStreamTagged(
-    uint64_t session_id, uint64_t request_id, const UnionQuery& query,
+Result<DurableSession::Outcome> DurableSession::RegisterStreamTagged(
+    ServingSession& session, uint64_t request_id, const UnionQuery& query,
     StreamOptions options) {
-  std::lock_guard<std::mutex> lock(session_mu_);
-  auto it = server_sessions_.find(session_id);
-  if (it == server_sessions_.end()) {
-    return Status::FailedPrecondition("unknown durable serving session " +
-                                      std::to_string(session_id));
-  }
-  DedupWindow& win = it->second.dedup;
-  const DedupWindow::Entry* cached = nullptr;
-  switch (win.Probe(request_id, &cached)) {
-    case DedupWindow::Verdict::kHit: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kHit;
-      o.type = cached->type;
-      o.response = cached->response_payload;
-      return o;
-    }
-    case DedupWindow::Verdict::kStale: {
-      TaggedOutcome o;
-      o.kind = TaggedOutcome::Kind::kStale;
-      return o;
-    }
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-  options.retain_events = true;  // persisted cursors need retained events
-  RAR_ASSIGN_OR_RETURN(StreamId id, registry_->Register(query, options));
-  RAR_ASSIGN_OR_RETURN(RelevanceStreamRegistry::StreamPersistState ps,
-                       registry_->DumpPersistState(id));
-  StreamRegisterPayload p;
-  p.query = query;
-  p.options = options;
-  p.fresh_pool.reserve(ps.fresh_pool.size());
-  for (const TypedValue& tv : ps.fresh_pool) {
-    p.fresh_pool.emplace_back(tv.domain, schema_->ConstantSpelling(tv.value));
-  }
-  uint64_t seq = wal_->Append(
-      WalRecordType::kStreamRegisterTagged,
-      EncodeTaggedPayload(session_id, request_id,
-                          EncodeStreamRegisterPayload(*schema_, p)));
-  RAR_RETURN_NOT_OK(wal_->WaitDurable(seq));
-  TaggedOutcome o;
-  o.kind = TaggedOutcome::Kind::kFresh;
-  o.type = kWireRegisterStreamByte;
-  o.stream_id = id;
-  o.handle = static_cast<uint32_t>(it->second.streams.size());
-  it->second.streams.push_back(id);
-  o.response = EncodeCachedHandle(o.handle);
-  win.Record(request_id, kWireRegisterStreamByte, o.response);
-  records_since_snapshot_ += 1;
-  return o;
+  std::lock_guard<std::mutex> log_lock(session_mu_);
+  std::lock_guard<std::mutex> lock(session.mu);
+  const Tag tag{session.id, request_id};
+  return Dedup(session, request_id, kWireRegisterStreamByte,
+               [&]() -> Result<std::string> {
+                 RAR_ASSIGN_OR_RETURN(
+                     StreamId id, RegisterStreamLocked(query, options, &tag));
+                 session.streams.push_back(id);
+                 return EncodeHandle(session.streams.size() - 1);
+               });
 }
 
 Status DurableSession::WriteSnapshot() {
   std::lock_guard<std::mutex> lock(session_mu_);
+  if (wal_ == nullptr) {
+    return Status::FailedPrecondition("a store without a log has no snapshots");
+  }
   return WriteSnapshotLocked();
 }
 
@@ -620,18 +639,24 @@ Status DurableSession::WriteSnapshotLocked() {
     ss.retained_events = std::move(ps.retained_events);
     st.streams.push_back(std::move(ss));
   }
-  st.sessions.reserve(server_sessions_.size());
-  for (const auto& [id, sess] : server_sessions_) {
-    SnapshotSessionState ss;
-    ss.id = id;
-    ss.nonce = sess.nonce;
-    ss.query_regs = sess.query_regs;
-    ss.streams.assign(sess.streams.begin(), sess.streams.end());
-    ss.dedup_watermark = sess.dedup.evicted_watermark();
-    sess.dedup.ForEach([&ss](uint64_t rid, const DedupWindow::Entry& e) {
-      ss.dedup.push_back({rid, e.type, e.response_payload});
-    });
-    st.sessions.push_back(std::move(ss));
+  {
+    // The table last (lock order). Every window and handle table changes
+    // under the store mutex when there is a log, and this holds it, so
+    // the sessions' own mutexes are not needed.
+    std::shared_lock<std::shared_mutex> lock(table_mu_);
+    st.sessions.reserve(sessions_.size());
+    for (const auto& [id, sess] : sessions_) {
+      SnapshotSessionState ss;
+      ss.id = id;
+      ss.nonce = sess->nonce;
+      ss.query_regs = sess->query_regs;
+      ss.streams.assign(sess->streams.begin(), sess->streams.end());
+      ss.dedup_watermark = sess->dedup.evicted_watermark();
+      sess->dedup.ForEach([&ss](uint64_t rid, const DedupWindow::Entry& e) {
+        ss.dedup.push_back({rid, e.type, e.response_payload});
+      });
+      st.sessions.push_back(std::move(ss));
+    }
   }
   uint64_t bytes = 0;
   RAR_RETURN_NOT_OK(

@@ -24,13 +24,6 @@ void MaxInto(std::atomic<uint64_t>& gauge, uint64_t v) {
   }
 }
 
-std::string EncodeHandle(uint32_t handle) {
-  std::string out;
-  BinWriter w(&out);
-  w.U32(handle);
-  return out;
-}
-
 /// Scoped in-flight mutation count for the drain protocol: increment
 /// *before* the draining check (seq_cst on both sides), so a mutation
 /// that raced past the flag is still visible to BeginDrain's quiesce.
@@ -52,63 +45,24 @@ class MutationGuard {
 SessionServer::SessionServer(RelevanceEngine* engine,
                              RelevanceStreamRegistry* registry,
                              ServerOptions options)
-    : engine_(engine),
-      registry_(registry),
-      durable_(nullptr),
-      options_(options),
-      nonce_seed_(static_cast<uint64_t>(
-                      std::chrono::steady_clock::now().time_since_epoch()
-                          .count()) ^
-                  reinterpret_cast<uintptr_t>(this)) {
-  engine_->AddApplyListener(this);
+    : SessionServer(std::make_unique<DurableSession>(engine, registry),
+                    options) {}
+
+SessionServer::SessionServer(std::unique_ptr<DurableSession> store,
+                             ServerOptions options)
+    : SessionServer(store.get(), options) {
+  owned_store_ = std::move(store);
 }
 
 SessionServer::SessionServer(DurableSession* durable, ServerOptions options)
-    : engine_(&durable->engine()),
-      registry_(&durable->streams()),
-      durable_(durable),
-      options_(options),
-      nonce_seed_(static_cast<uint64_t>(
-                      std::chrono::steady_clock::now().time_since_epoch()
-                          .count()) ^
-                  reinterpret_cast<uintptr_t>(this)) {
-  engine_->AddApplyListener(this);
-
-  // Re-seed the token table from the durable session registry: a client
-  // whose server crashed resumes its pre-crash token (handles, cursors,
-  // dedup window) against this process as if nothing happened.
-  const std::vector<QueryId>& direct = durable->direct_query_ids();
-  uint64_t max_id = 0;
-  for (const DurableSession::RecoveredServerSession& rs :
-       durable->server_sessions()) {
-    auto session = std::make_shared<ServerSession>(options_.dedup_window);
-    session->id = rs.id;
-    session->nonce = rs.nonce;
-    session->queries.reserve(rs.query_regs.size());
-    for (uint32_t idx : rs.query_regs) {
-      session->queries.push_back(idx < direct.size() ? direct[idx]
-                                                     : QueryId{0});
-    }
-    session->streams = rs.streams;
-    session->degraded.assign(rs.streams.size(), 0);
-    session->last_active_ms.store(NowMs(), std::memory_order_relaxed);
-    sessions_.emplace(rs.id, std::move(session));
-    if (rs.id > max_id) max_id = rs.id;
-    Bump(counters_.sessions_recovered);
-  }
-  if (max_id != 0) {
-    next_session_id_.store(max_id + 1, std::memory_order_relaxed);
-  }
+    : store_(durable), options_(options) {
+  store_->SizeDedupWindows(options_.dedup_window);
+  // Sessions the store recovered from its directory (none without a log).
+  Bump(counters_.sessions_recovered, store_->num_server_sessions());
+  store_->engine().AddApplyListener(this);
 }
 
-SessionServer::~SessionServer() { engine_->RemoveApplyListener(this); }
-
-uint64_t SessionServer::NowMs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
+SessionServer::~SessionServer() { store_->engine().RemoveApplyListener(this); }
 
 uint64_t SessionServer::UnixMs() {
   return static_cast<uint64_t>(
@@ -126,7 +80,7 @@ std::string SessionServer::HandleFrame(const WireFrame& frame) {
   std::string payload;
   MessageType response_type = MessageType::kError;
 
-  EngineObservability& obs = engine_->obs();
+  EngineObservability& obs = engine().obs();
   if (frame.deadline_unix_ms != 0 && UnixMs() > frame.deadline_unix_ms) {
     // The client has already given up on this frame; doing the work would
     // only burn server time on a response nobody is waiting for.
@@ -223,47 +177,65 @@ void SessionServer::ShedDraining(WireError* error) {
   error->message = "server is draining; retry against another replica";
 }
 
-bool SessionServer::AnswerFromOutcome(
-    const DurableSession::TaggedOutcome& outcome, uint8_t request_type,
-    std::string* payload, WireError* error) {
-  using Kind = DurableSession::TaggedOutcome::Kind;
-  switch (outcome.kind) {
-    case Kind::kHit:
-      if (outcome.type != request_type) {
+std::string SessionServer::Answer(Result<DurableSession::Outcome> outcome,
+                                  MessageType type, WireError* error) {
+  if (!outcome.ok()) {
+    if (outcome.status().code() == StatusCode::kResourceExhausted) {
+      // Engine apply admission shed the request: typed backoff, not a
+      // failure — the client retries after retry_after_ms.
+      Bump(counters_.applies_shed);
+      error->code = WireErrorCode::kRetryLater;
+      error->retry_after_ms = options_.retry_after_ms;
+    } else {
+      error->code = WireErrorCode::kBadRequest;
+    }
+    error->message = outcome.status().ToString();
+    return "";
+  }
+  switch (outcome->verdict) {
+    case DedupWindow::Verdict::kHit:
+      if (outcome->type != static_cast<uint8_t>(type)) {
         error->code = WireErrorCode::kBadRequest;
         error->message =
             "request id was already used by a different message type";
-        return true;
+        return "";
       }
       Bump(counters_.dedup_hits);
-      *payload = outcome.response;
-      return true;
-    case Kind::kStale:
+      break;
+    case DedupWindow::Verdict::kStale:
       Bump(counters_.dedup_stale);
       error->code = WireErrorCode::kStaleRequest;
       error->message =
           "request id predates the dedup window: the original completed "
           "long ago; re-issuing it would risk a double-apply";
-      return true;
-    case Kind::kFresh:
-      return false;
+      return "";
+    case DedupWindow::Verdict::kFresh:
+      break;
   }
-  return false;
+  return std::move(outcome).value().response;
 }
 
-std::shared_ptr<SessionServer::ServerSession> SessionServer::FindSession(
+std::shared_ptr<SessionServer::Session> SessionServer::FindSession(
     const SessionToken& token, WireError* error) {
-  {
-    std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-    auto it = sessions_.find(token.session_id);
-    if (it != sessions_.end() && it->second->nonce == token.nonce) {
-      it->second->last_active_ms.store(NowMs(), std::memory_order_relaxed);
-      return it->second;
-    }
+  std::shared_ptr<Session> session =
+      store_->FindServerSession(token.session_id, token.nonce);
+  if (session == nullptr) {
+    error->code = WireErrorCode::kUnknownSession;
+    error->message = "unknown session token (bad nonce, reaped, or retired)";
   }
-  error->code = WireErrorCode::kUnknownSession;
-  error->message = "unknown session token (bad nonce, reaped, or retired)";
-  return nullptr;
+  return session;
+}
+
+bool SessionServer::ResolveStream(Session& session, uint32_t handle,
+                                  StreamId* sid, WireError* error) {
+  std::lock_guard<std::mutex> lock(session.mu);
+  if (handle >= session.streams.size()) {
+    error->code = WireErrorCode::kNotFound;
+    error->message = "unknown stream handle " + std::to_string(handle);
+    return false;
+  }
+  *sid = session.streams[handle];
+  return true;
 }
 
 std::string SessionServer::HandleHello(const WireFrame& frame,
@@ -288,26 +260,16 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
   // Resumes are allowed while draining: an existing client needs its
   // session to poll out remaining events and say Goodbye.
   if (req.resume.session_id != 0 || req.resume.nonce != 0) {
-    WireError find_err;
-    std::shared_ptr<ServerSession> session = FindSession(req.resume, &find_err);
-    if (session == nullptr) {
-      *error = find_err;
-      return "";
-    }
+    std::shared_ptr<Session> session = FindSession(req.resume, error);
+    if (session == nullptr) return "";
     Bump(counters_.sessions_resumed);
     HelloResponse resp;
     resp.token = {session->id, session->nonce};
     resp.resumed = true;
-    {
-      std::lock_guard<std::mutex> lock(session->mu);
-      resp.num_streams = static_cast<uint32_t>(session->streams.size());
-      resp.num_queries = static_cast<uint32_t>(session->queries.size());
-      resp.next_request_id = session->dedup.next_free_id();
-    }
-    // Durable serving keeps the session's window in the durable session.
-    if (durable_ != nullptr) {
-      resp.next_request_id = durable_->NextRequestId(session->id);
-    }
+    std::lock_guard<std::mutex> lock(session->mu);
+    resp.num_streams = static_cast<uint32_t>(session->streams.size());
+    resp.num_queries = static_cast<uint32_t>(session->query_regs.size());
+    resp.next_request_id = session->dedup.next_free_id();
     return EncodeHelloResponse(resp);
   }
 
@@ -318,49 +280,26 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
 
   // Fresh session: reap first so idle sessions do not hold admission slots.
   ReapIdleSessions();
-  auto session = std::make_shared<ServerSession>(options_.dedup_window);
-  {
-    std::unique_lock<std::shared_mutex> lock(sessions_mu_);
-    if (options_.max_sessions > 0 &&
-        sessions_.size() >= options_.max_sessions) {
-      Bump(counters_.sessions_shed);
-      error->code = WireErrorCode::kRetryLater;
-      error->retry_after_ms = options_.retry_after_ms;
-      error->message = "session admission: " +
-                       std::to_string(options_.max_sessions) +
-                       " sessions already live; retry later";
-      return "";
-    }
-    session->id = next_session_id_.fetch_add(1, std::memory_order_relaxed);
-    // splitmix64 finalizer over (seed, id): unguessable enough that a
-    // client cannot trivially forge another session's nonce, cheap enough
-    // to mint under the lock.
-    uint64_t z = nonce_seed_ + session->id * 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    session->nonce = z ^ (z >> 31);
-    session->last_active_ms.store(NowMs(), std::memory_order_relaxed);
-    sessions_.emplace(session->id, session);
+  Result<std::shared_ptr<Session>> session =
+      store_->OpenServerSession(options_.max_sessions);
+  if (!session.ok()) {
+    error->code = WireErrorCode::kInternal;
+    error->message = session.status().ToString();
+    return "";
   }
-
-  // Persist the token before answering: if the server crashes after the
-  // client learns the token, recovery must still recognise it.
-  if (durable_ != nullptr) {
-    Status open = durable_->OpenServerSession(session->id, session->nonce);
-    if (!open.ok()) {
-      {
-        std::unique_lock<std::shared_mutex> lock(sessions_mu_);
-        sessions_.erase(session->id);
-      }
-      error->code = WireErrorCode::kInternal;
-      error->message = open.ToString();
-      return "";
-    }
+  if (*session == nullptr) {
+    Bump(counters_.sessions_shed);
+    error->code = WireErrorCode::kRetryLater;
+    error->retry_after_ms = options_.retry_after_ms;
+    error->message = "session admission: " +
+                     std::to_string(options_.max_sessions) +
+                     " sessions already live; retry later";
+    return "";
   }
   Bump(counters_.sessions_opened);
 
   HelloResponse resp;
-  resp.token = {session->id, session->nonce};
+  resp.token = {(*session)->id, (*session)->nonce};
   resp.resumed = false;
   return EncodeHelloResponse(resp);
 }
@@ -374,79 +313,17 @@ std::string SessionServer::HandleRegisterQuery(const WireFrame& frame,
   }
   SessionToken token;
   UnionQuery query;
-  Status st = DecodeRegisterQueryRequest(engine_->schema(), frame.payload,
+  Status st = DecodeRegisterQueryRequest(engine().schema(), frame.payload,
                                          &token, &query);
   if (!st.ok()) {
     error->code = WireErrorCode::kBadRequest;
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
+  std::shared_ptr<Session> session = FindSession(token, error);
   if (session == nullptr) return "";
-
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
-  std::lock_guard<std::mutex> reg(register_mu_);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome =
-        durable_->RegisterQueryTagged(session->id, frame.request_id, query);
-    if (!outcome.ok()) {
-      error->code = WireErrorCode::kBadRequest;
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (session->queries.size() != outcome->handle) {
-      error->code = WireErrorCode::kInternal;
-      error->message = "session handle table out of sync with durable state";
-      return "";
-    }
-    session->queries.push_back(outcome->query_id);
-    return outcome->response;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const DedupWindow::Entry* entry = nullptr;
-    switch (session->dedup.Probe(frame.request_id, &entry)) {
-      case DedupWindow::Verdict::kHit:
-        if (entry->type != type_byte) {
-          error->code = WireErrorCode::kBadRequest;
-          error->message =
-              "request id was already used by a different message type";
-          return "";
-        }
-        Bump(counters_.dedup_hits);
-        return entry->response_payload;
-      case DedupWindow::Verdict::kStale:
-        Bump(counters_.dedup_stale);
-        error->code = WireErrorCode::kStaleRequest;
-        error->message = "request id predates the dedup window";
-        return "";
-      case DedupWindow::Verdict::kFresh:
-        break;
-    }
-  }
-
-  Result<QueryId> qid = engine_->RegisterQuery(query);
-  if (!qid.ok()) {
-    error->code = WireErrorCode::kBadRequest;
-    error->message = qid.status().ToString();
-    return "";
-  }
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const uint32_t handle = static_cast<uint32_t>(session->queries.size());
-    session->queries.push_back(*qid);
-    payload = EncodeHandle(handle);
-    session->dedup.Record(frame.request_id, type_byte, payload);
-  }
-  return payload;
+  return Answer(store_->RegisterQueryTagged(*session, frame.request_id, query),
+                frame.type, error);
 }
 
 std::string SessionServer::HandleRegisterStream(const WireFrame& frame,
@@ -459,14 +336,14 @@ std::string SessionServer::HandleRegisterStream(const WireFrame& frame,
   SessionToken token;
   UnionQuery query;
   StreamOptions opts;
-  Status st = DecodeRegisterStreamRequest(engine_->schema(), frame.payload,
+  Status st = DecodeRegisterStreamRequest(engine().schema(), frame.payload,
                                           &token, &query, &opts);
   if (!st.ok()) {
     error->code = WireErrorCode::kBadRequest;
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
+  std::shared_ptr<Session> session = FindSession(token, error);
   if (session == nullptr) return "";
 
   // Server-side stream policy: cursors must be resumable (reconnect), and
@@ -477,72 +354,9 @@ std::string SessionServer::HandleRegisterStream(const WireFrame& frame,
       (opts.retain_cap == 0 || opts.retain_cap > options_.max_backlog_events)) {
     opts.retain_cap = options_.max_backlog_events;
   }
-
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
-  std::lock_guard<std::mutex> reg(register_mu_);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome = durable_->
-        RegisterStreamTagged(session->id, frame.request_id, query, opts);
-    if (!outcome.ok()) {
-      error->code = WireErrorCode::kBadRequest;
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (session->streams.size() != outcome->handle) {
-      error->code = WireErrorCode::kInternal;
-      error->message = "session handle table out of sync with durable state";
-      return "";
-    }
-    session->streams.push_back(outcome->stream_id);
-    session->degraded.push_back(0);
-    return outcome->response;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const DedupWindow::Entry* entry = nullptr;
-    switch (session->dedup.Probe(frame.request_id, &entry)) {
-      case DedupWindow::Verdict::kHit:
-        if (entry->type != type_byte) {
-          error->code = WireErrorCode::kBadRequest;
-          error->message =
-              "request id was already used by a different message type";
-          return "";
-        }
-        Bump(counters_.dedup_hits);
-        return entry->response_payload;
-      case DedupWindow::Verdict::kStale:
-        Bump(counters_.dedup_stale);
-        error->code = WireErrorCode::kStaleRequest;
-        error->message = "request id predates the dedup window";
-        return "";
-      case DedupWindow::Verdict::kFresh:
-        break;
-    }
-  }
-
-  Result<StreamId> sid = registry_->Register(query, opts);
-  if (!sid.ok()) {
-    error->code = WireErrorCode::kBadRequest;
-    error->message = sid.status().ToString();
-    return "";
-  }
-  std::string payload;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    const uint32_t handle = static_cast<uint32_t>(session->streams.size());
-    session->streams.push_back(*sid);
-    session->degraded.push_back(0);
-    payload = EncodeHandle(handle);
-    session->dedup.Record(frame.request_id, type_byte, payload);
-  }
-  return payload;
+  return Answer(
+      store_->RegisterStreamTagged(*session, frame.request_id, query, opts),
+      frame.type, error);
 }
 
 std::string SessionServer::HandleApply(const WireFrame& frame,
@@ -555,83 +369,18 @@ std::string SessionServer::HandleApply(const WireFrame& frame,
   SessionToken token;
   Access access;
   std::vector<Fact> response;
-  Status st = DecodeApplyRequest(engine_->schema(), engine_->access_methods(),
+  Status st = DecodeApplyRequest(engine().schema(), engine().access_methods(),
                                  frame.payload, &token, &access, &response);
   if (!st.ok()) {
     error->code = WireErrorCode::kBadRequest;
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
+  std::shared_ptr<Session> session = FindSession(token, error);
   if (session == nullptr) return "";
-
-  const uint8_t type_byte = static_cast<uint8_t>(frame.type);
-
-  if (durable_ != nullptr) {
-    Result<DurableSession::TaggedOutcome> outcome =
-        durable_->ApplyTagged(session->id, frame.request_id, access, response);
-    if (!outcome.ok()) {
-      if (outcome.status().code() == StatusCode::kResourceExhausted) {
-        Bump(counters_.applies_shed);
-        error->code = WireErrorCode::kRetryLater;
-        error->retry_after_ms = options_.retry_after_ms;
-      } else {
-        error->code = WireErrorCode::kBadRequest;
-      }
-      error->message = outcome.status().ToString();
-      return "";
-    }
-    std::string payload;
-    if (AnswerFromOutcome(*outcome, type_byte, &payload, error)) {
-      return payload;
-    }
-    return outcome->response;
-  }
-
-  // In-memory: hold the session mutex across probe + apply + record, so a
-  // concurrent retry of the same request id (a second connection replaying
-  // the same frame) serializes behind the original instead of racing it.
-  std::lock_guard<std::mutex> lock(session->mu);
-  const DedupWindow::Entry* entry = nullptr;
-  switch (session->dedup.Probe(frame.request_id, &entry)) {
-    case DedupWindow::Verdict::kHit:
-      if (entry->type != type_byte) {
-        error->code = WireErrorCode::kBadRequest;
-        error->message =
-            "request id was already used by a different message type";
-        return "";
-      }
-      Bump(counters_.dedup_hits);
-      return entry->response_payload;
-    case DedupWindow::Verdict::kStale:
-      Bump(counters_.dedup_stale);
-      error->code = WireErrorCode::kStaleRequest;
-      error->message = "request id predates the dedup window";
-      return "";
-    case DedupWindow::Verdict::kFresh:
-      break;
-  }
-
-  Result<int> added = engine_->ApplyResponse(access, response);
-  if (!added.ok()) {
-    if (added.status().code() == StatusCode::kResourceExhausted) {
-      // Engine apply admission shed the request: typed backoff, not a
-      // failure — the client retries after retry_after_ms.
-      Bump(counters_.applies_shed);
-      error->code = WireErrorCode::kRetryLater;
-      error->retry_after_ms = options_.retry_after_ms;
-    } else {
-      error->code = WireErrorCode::kBadRequest;
-    }
-    error->message = added.status().ToString();
-    return "";
-  }
-  ApplyResult result;
-  result.facts_added = static_cast<uint32_t>(*added);
-  result.wal_sequence = 0;
-  std::string payload = EncodeApplyResult(result);
-  session->dedup.Record(frame.request_id, type_byte, payload);
-  return payload;
+  return Answer(
+      store_->ApplyTagged(*session, frame.request_id, access, response),
+      frame.type, error);
 }
 
 std::string SessionServer::HandlePoll(const WireFrame& frame,
@@ -645,57 +394,44 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
-  if (session == nullptr) return "";
-
+  std::shared_ptr<Session> session = FindSession(token, error);
   StreamId sid;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (handle >= session->streams.size()) {
-      error->code = WireErrorCode::kNotFound;
-      error->message = "unknown stream handle " + std::to_string(handle);
-      return "";
-    }
-    sid = session->streams[handle];
+  if (session == nullptr || !ResolveStream(*session, handle, &sid, error)) {
+    return "";
   }
 
-  Result<StreamDelta> delta = registry_->PollAfter(sid, cursor);
+  Result<StreamDelta> delta = store_->PollAfter(sid, cursor);
   if (!delta.ok()) {
     if (delta.status().code() == StatusCode::kFailedPrecondition) {
       // Retention cap dropped events this cursor still needed: tell the
       // client where the horizon is so it can re-snapshot and resume.
       Bump(counters_.cursor_evictions);
       error->code = WireErrorCode::kCursorEvicted;
-      error->detail = registry_->EvictedThrough(sid);
+      error->detail = store_->streams().EvictedThrough(sid);
     } else {
       error->code = WireErrorCode::kBadRequest;
     }
     error->message = delta.status().ToString();
     return "";
   }
-  PoliceBacklog(*session, handle, sid);
-  return EncodePollResponse(engine_->schema(), *delta);
+  PoliceBacklog(sid);
+  return EncodePollResponse(engine().schema(), *delta);
 }
 
-void SessionServer::PoliceBacklog(ServerSession& session, uint32_t handle,
-                                  StreamId sid) {
-  const uint64_t retained = registry_->RetainedCount(sid);
+void SessionServer::PoliceBacklog(StreamId sid) {
+  RelevanceStreamRegistry& registry = store_->streams();
+  const uint64_t retained = registry.RetainedCount(sid);
   MaxInto(counters_.backlog_high_water, retained);
   if (options_.degrade_backlog_events == 0 ||
       retained <= options_.degrade_backlog_events) {
     return;
   }
-  {
-    std::lock_guard<std::mutex> lock(session.mu);
-    if (handle >= session.degraded.size() || session.degraded[handle]) return;
-    session.degraded[handle] = 1;
-  }
   // The stream is running hot: shed its gate indexes and fall back to
   // conservative full-recheck waves. Verdict-identical (the flag is
   // consulted per wave), so parity holds — only the wave cost changes.
-  // Streams are shared: only the subscriber whose poll actually degraded
-  // the stream counts it.
-  Result<bool> degraded = registry_->Degrade(sid);
+  // Degrade is idempotent and true only for the call that degraded, so a
+  // shared stream counts once however many subscribers run hot.
+  Result<bool> degraded = registry.Degrade(sid);
   if (degraded.ok() && *degraded) Bump(counters_.streams_degraded);
 }
 
@@ -716,25 +452,15 @@ std::string SessionServer::HandleAcknowledge(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
-  if (session == nullptr) return "";
-
+  std::shared_ptr<Session> session = FindSession(token, error);
   StreamId sid;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (handle >= session->streams.size()) {
-      error->code = WireErrorCode::kNotFound;
-      error->message = "unknown stream handle " + std::to_string(handle);
-      return "";
-    }
-    sid = session->streams[handle];
+  if (session == nullptr || !ResolveStream(*session, handle, &sid, error)) {
+    return "";
   }
-  st = durable_ != nullptr ? durable_->Acknowledge(sid, upto)
-                           : registry_->Acknowledge(sid, upto);
+  st = store_->Acknowledge(sid, upto);
   if (!st.ok()) {
     error->code = WireErrorCode::kBadRequest;
     error->message = st.ToString();
-    return "";
   }
   return "";
 }
@@ -749,20 +475,13 @@ std::string SessionServer::HandleSnapshot(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
-  if (session == nullptr) return "";
-
+  std::shared_ptr<Session> session = FindSession(token, error);
   StreamId sid;
-  {
-    std::lock_guard<std::mutex> lock(session->mu);
-    if (handle >= session->streams.size()) {
-      error->code = WireErrorCode::kNotFound;
-      error->message = "unknown stream handle " + std::to_string(handle);
-      return "";
-    }
-    sid = session->streams[handle];
+  if (session == nullptr || !ResolveStream(*session, handle, &sid, error)) {
+    return "";
   }
-  return EncodeSnapshotResponse(engine_->schema(), registry_->Snapshot(sid));
+  return EncodeSnapshotResponse(engine().schema(),
+                                store_->streams().Snapshot(sid));
 }
 
 std::string SessionServer::HandleMetrics(const WireFrame& frame,
@@ -775,15 +494,15 @@ std::string SessionServer::HandleMetrics(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
+  std::shared_ptr<Session> session = FindSession(token, error);
   if (session == nullptr) return "";
 
-  // engine_->stats() folds in this server's ContributeStats, so the
+  // engine().stats() folds in this server's ContributeStats, so the
   // rar_server_* rows ride the same exposition as the engine's.
   MetricsExport metrics;
-  metrics.stats = engine_->stats();
-  metrics.obs = engine_->obs().Snapshot();
-  metrics.schema = &engine_->schema();
+  metrics.stats = engine().stats();
+  metrics.obs = engine().obs().Snapshot();
+  metrics.schema = &engine().schema();
   return format == MetricsFormat::kPrometheus
              ? ExportMetricsPrometheus(metrics)
              : ExportMetricsJson(metrics);
@@ -798,20 +517,10 @@ std::string SessionServer::HandleGoodbye(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  {
-    std::unique_lock<std::shared_mutex> lock(sessions_mu_);
-    auto it = sessions_.find(token.session_id);
-    if (it == sessions_.end() || it->second->nonce != token.nonce) {
-      error->code = WireErrorCode::kUnknownSession;
-      error->message = "unknown session token";
-      return "";
-    }
-    sessions_.erase(it);
-  }
-  if (durable_ != nullptr) {
-    // Best-effort: if the retirement record cannot be logged the session
-    // merely resurrects on recovery and is reaped as idle — harmless.
-    (void)durable_->RetireServerSession(token.session_id);
+  if (!store_->RetireServerSession(token.session_id, token.nonce)) {
+    error->code = WireErrorCode::kUnknownSession;
+    error->message = "unknown session token";
+    return "";
   }
   Bump(counters_.sessions_retired);
   return "";
@@ -826,8 +535,8 @@ std::string SessionServer::HandlePing(const WireFrame& frame,
     error->message = st.ToString();
     return "";
   }
-  // FindSession refreshes last_active_ms — the heartbeat's whole job.
-  std::shared_ptr<ServerSession> session = FindSession(token, error);
+  // FindSession refreshes the idle clock — the heartbeat's whole job.
+  std::shared_ptr<Session> session = FindSession(token, error);
   if (session == nullptr) return "";
 
   PingResponse resp;
@@ -838,28 +547,10 @@ std::string SessionServer::HandlePing(const WireFrame& frame,
 
 size_t SessionServer::ReapIdleSessions() {
   if (options_.idle_timeout_ms == 0) return 0;
-  const uint64_t now = NowMs();
-  std::vector<uint64_t> reaped_ids;
-  {
-    std::unique_lock<std::shared_mutex> lock(sessions_mu_);
-    for (auto it = sessions_.begin(); it != sessions_.end();) {
-      const uint64_t last =
-          it->second->last_active_ms.load(std::memory_order_relaxed);
-      if (now - last > options_.idle_timeout_ms) {
-        reaped_ids.push_back(it->first);
-        it = sessions_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  if (durable_ != nullptr) {
-    for (uint64_t id : reaped_ids) {
-      (void)durable_->RetireServerSession(id);
-    }
-  }
-  Bump(counters_.sessions_reaped, reaped_ids.size());
-  return reaped_ids.size();
+  const size_t reaped =
+      store_->ReapIdleServerSessions(options_.idle_timeout_ms);
+  Bump(counters_.sessions_reaped, reaped);
+  return reaped;
 }
 
 Status SessionServer::BeginDrain() {
@@ -870,13 +561,7 @@ Status SessionServer::BeginDrain() {
   while (inflight_mutations_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  if (durable_ != nullptr) return durable_->Flush();
-  return Status::OK();
-}
-
-size_t SessionServer::num_sessions() const {
-  std::shared_lock<std::shared_mutex> lock(sessions_mu_);
-  return sessions_.size();
+  return store_->Flush();
 }
 
 void SessionServer::ContributeStats(EngineStats* stats) const {

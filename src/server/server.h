@@ -1,14 +1,18 @@
 // SessionServer: the concurrent multi-client session layer over one
-// RelevanceEngine + RelevanceStreamRegistry (optionally backed by a
-// DurableSession, in which case every mutation funnels through the WAL).
+// DurableSession — the store that holds the RelevanceEngine, its
+// RelevanceStreamRegistry and every serving session. In-memory serving is
+// a store without a log over the caller's engine and registry; durable
+// serving is a store opened over a WAL directory. Every handler makes one
+// call into the store, so both modes run the same path and answer alike.
 //
 // The server is transport-agnostic: it consumes decoded `WireFrame`s and
 // produces encoded response frames. Transports (src/server/transport.h —
 // in-process loopback and a TCP poll loop) own the byte streams and the
 // FrameAssemblers; many transport threads may call `HandleFrame`
-// concurrently — the engine and registry are internally synchronised, the
-// session table sits under a shared_mutex, and each session's handle
-// tables under the session's own mutex.
+// concurrently — the engine and registry are internally synchronised, and
+// the store locks its session table and each session (see durable.h for
+// the lock order). The server itself keeps only its options, its counters
+// and the drain protocol.
 //
 // Sessions are token-addressed, not connection-bound: Hello mints (or
 // resumes) a {session_id, nonce} token, and every later request presents
@@ -18,20 +22,21 @@
 //
 // Fault tolerance (src/persist/dedup.h, DESIGN.md "Fault tolerance"):
 //  * exactly-once effect — every mutating request (apply, register) is
-//    keyed by its client-owned request id through a per-session dedup
-//    window; a retry whose original executed answers the cached response
-//    instead of re-executing. Durable-backed servers persist the window
-//    (WAL-tagged records + snapshot sessions section), so a retry that
-//    straddles a server crash still cannot double-apply.
+//    keyed by its client-owned request id through the session's dedup
+//    window (ServerOptions::dedup_window entries); a retry whose original
+//    executed answers the cached response instead of re-executing. With a
+//    log the window is persisted (WAL-tagged records + snapshot sessions
+//    section), so a retry that straddles a server crash still cannot
+//    double-apply.
 //  * deadlines — frames carry an absolute deadline; expired work is
 //    rejected with kDeadlineExceeded before any engine mutation.
 //  * heartbeats — kPing refreshes the session's idle clock and reports
 //    the drain flag, giving both ends dead-peer detection.
 //  * graceful drain — BeginDrain stops admitting fresh sessions, sheds
 //    mutations with kShuttingDown + a retry hint, waits for in-flight
-//    mutations to quiesce, and flushes durable state. Reads (poll,
-//    snapshot, metrics, ping, goodbye) keep working so clients can wind
-//    down cleanly.
+//    mutations to quiesce, and flushes the store. Reads (poll, snapshot,
+//    metrics, ping, goodbye) keep working so clients can wind down
+//    cleanly.
 //
 // Load shedding, three layers (each surfaced as a typed wire error and a
 // counter):
@@ -60,13 +65,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "engine/engine.h"
-#include "persist/dedup.h"
 #include "persist/durable.h"
 #include "server/protocol.h"
 #include "stream/registry.h"
@@ -93,26 +94,27 @@ struct ServerOptions {
   /// Reap sessions idle longer than this (checked opportunistically on
   /// Hello and via ReapIdleSessions). 0 = never reap.
   uint64_t idle_timeout_ms = 0;
-  /// Per-session request-dedup window capacity (in-memory serving; the
-  /// durable path takes its capacity from PersistOptions::dedup_window).
-  /// 0 disables dedup — retried mutations re-execute.
+  /// Per-session request-dedup window capacity, for every session the
+  /// server serves (recovered ones included). 0 disables dedup — retried
+  /// mutations re-execute.
   size_t dedup_window = 256;
 };
 
 /// \brief The session layer. Construct over a live engine+registry (in-
-/// memory serving) or over a DurableSession (WAL-backed serving); attach
-/// points are the same either way. Attaches itself to the engine as an
-/// ApplyListener purely so its counters join `engine.stats()` and the
-/// exporter; detaches in the destructor (quiesce transports first).
+/// memory serving: the server builds a store without a log over them) or
+/// over a DurableSession (WAL-backed serving); both serve through the same
+/// store calls. Attaches itself to the engine as an ApplyListener purely
+/// so its counters join `engine.stats()` and the exporter; detaches in the
+/// destructor (quiesce transports first).
 class SessionServer : public ApplyListener {
  public:
   SessionServer(RelevanceEngine* engine, RelevanceStreamRegistry* registry,
                 ServerOptions options = {});
   /// Durable-backed: every mutation (apply, registration, acknowledge)
   /// funnels through `durable`, so served state survives a crash and
-  /// tokens resume across server restarts. Serving sessions recovered
-  /// from the durable directory are re-seeded into the token table, so a
-  /// client can resume its pre-crash token against the new process.
+  /// tokens resume across server restarts. Serving sessions `durable`
+  /// recovered are in its session table already, so a client can resume
+  /// its pre-crash token against the new process.
   explicit SessionServer(DurableSession* durable, ServerOptions options = {});
   ~SessionServer() override;
 
@@ -134,18 +136,18 @@ class SessionServer : public ApplyListener {
 
   /// Graceful drain: stop admitting fresh sessions, shed mutations with
   /// kShuttingDown + drain_retry_after_ms, wait until in-flight mutations
-  /// quiesce, then flush durable state. Reads keep working. Idempotent;
+  /// quiesce, then flush the store. Reads keep working. Idempotent;
   /// blocks until quiescent. The server stays usable for reads (and for
   /// Goodbye) afterwards — destruction remains the caller's job. Returns
-  /// the durable flush's status (OK for in-memory serving).
+  /// the store's flush status (OK without a log).
   Status BeginDrain();
   bool draining() const {
     return draining_.load(std::memory_order_seq_cst);
   }
 
-  size_t num_sessions() const;
+  size_t num_sessions() const { return store_->num_server_sessions(); }
 
-  RelevanceEngine& engine() { return *engine_; }
+  RelevanceEngine& engine() { return store_->engine(); }
   const ServerOptions& options() const { return options_; }
 
   // ApplyListener (stats only):
@@ -153,30 +155,20 @@ class SessionServer : public ApplyListener {
   void ContributeStats(EngineStats* stats) const override;
 
  private:
-  struct ServerSession {
-    explicit ServerSession(size_t dedup_capacity) : dedup(dedup_capacity) {}
-    uint64_t id = 0;
-    uint64_t nonce = 0;
-    std::mutex mu;  ///< guards the handle tables + dedup window below
-    std::vector<QueryId> queries;   ///< wire handle -> engine QueryId
-    std::vector<StreamId> streams;  ///< wire handle -> subscription id
-    std::vector<char> degraded;     ///< parallel to streams
-    /// In-memory request dedup (durable serving probes the persisted
-    /// window in DurableSession instead). Guarded by mu — holding mu
-    /// across probe+execute+record is what makes a concurrent retry of
-    /// the same id on a second connection safe, not just a same-channel
-    /// retry.
-    DedupWindow dedup;
-    std::atomic<uint64_t> last_active_ms{0};
-  };
+  using Session = DurableSession::ServingSession;
 
-  /// Monotonic wall clock for idle accounting (ms).
-  static uint64_t NowMs();
+  /// In-memory serving: owns the store it builds.
+  SessionServer(std::unique_ptr<DurableSession> store, ServerOptions options);
+
   /// Real wall clock (Unix ms) — deadlines cross process boundaries.
   static uint64_t UnixMs();
 
-  std::shared_ptr<ServerSession> FindSession(const SessionToken& token,
-                                             WireError* error);
+  std::shared_ptr<Session> FindSession(const SessionToken& token,
+                                       WireError* error);
+  /// The subscription behind a session's stream handle; false (kNotFound
+  /// in `error`) for an unknown handle.
+  bool ResolveStream(Session& session, uint32_t handle, StreamId* sid,
+                     WireError* error);
 
   // Per-type handlers: frame in, (response payload | error) out. The
   // response MessageType is the request's + 64 on success.
@@ -194,32 +186,19 @@ class SessionServer : public ApplyListener {
   /// Fills `error` with the kShuttingDown shed and counts it.
   void ShedDraining(WireError* error);
 
-  /// Maps a durable TaggedOutcome probe hit/stale to a response or error.
-  /// Returns true when the outcome fully answered the request (hit or
-  /// stale); false means kFresh — the caller finishes the fresh path.
-  bool AnswerFromOutcome(const DurableSession::TaggedOutcome& outcome,
-                         uint8_t request_type, std::string* payload,
-                         WireError* error);
+  /// Maps a deduped mutation's outcome to the wire, the one place that
+  /// does: the response payload, or `error` for a failed mutation, a
+  /// stale request id, or a hit whose original had another type.
+  std::string Answer(Result<DurableSession::Outcome> outcome,
+                     MessageType type, WireError* error);
 
-  /// Post-poll backlog policing for one stream handle: high-water
-  /// tracking and the degrade threshold.
-  void PoliceBacklog(ServerSession& session, uint32_t handle, StreamId sid);
+  /// Post-poll backlog policing for one subscription: high-water tracking
+  /// and the degrade threshold.
+  void PoliceBacklog(StreamId sid);
 
-  RelevanceEngine* engine_;
-  RelevanceStreamRegistry* registry_;
-  DurableSession* durable_;  ///< nullptr when serving in-memory
+  std::unique_ptr<DurableSession> owned_store_;  ///< in-memory serving's
+  DurableSession* store_;
   const ServerOptions options_;
-
-  mutable std::shared_mutex sessions_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<ServerSession>> sessions_;
-  /// Registration mints fresh constants (Prop 2.2) through the shared
-  /// interner, which is not thread-safe; with many clients registering
-  /// concurrently the server is the one place to serialize them. Also
-  /// keeps the server's handle tables in lockstep with the durable
-  /// session's (both append under this mutex).
-  std::mutex register_mu_;
-  std::atomic<uint64_t> next_session_id_{1};
-  const uint64_t nonce_seed_;
 
   /// Drain protocol: mutators increment inflight_mutations_ *then* check
   /// draining_ (both seq_cst); BeginDrain sets draining_ *then* waits for

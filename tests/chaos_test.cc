@@ -12,16 +12,23 @@
 // retry hint while reads keep working; (6) a seeded multi-client chaos
 // soak (drops, duplicates, replays, corruption, truncation, severed
 // links) completes with gap-free cursors and exact parity against a
-// fresh engine fed every response once. The TSan CI job builds this
-// test; the soak replays exactly from its seeds.
+// fresh engine fed every response once, over a store without a log and
+// over a durable one that must reopen to the same VersionVector; (7) a
+// server with a log and one without answer one scripted frame sequence
+// identically, and the reaper never retires a session that keeps
+// pinging. The TSan CI job builds this test; the soak replays exactly
+// from its seeds.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.h"
@@ -360,6 +367,114 @@ TEST(FrameDedupTest, HitWithMismatchedTypeIsBadRequest) {
   EXPECT_EQ(e.code, WireErrorCode::kBadRequest);
 }
 
+// ------------------------------------------------------ one serving path
+
+// Drives one scripted frame sequence through `server` and returns every
+// response as (type, payload), with the two fields a server with a log
+// legitimately answers differently zeroed: the session nonce in kHelloOk
+// and kApplyOk's WAL sequence.
+std::vector<std::pair<MessageType, std::string>> RunServingScript(
+    SessionServer* server, const ChainWorld& world) {
+  LoopbackChannel channel(server);
+  std::vector<std::pair<MessageType, std::string>> out;
+  SessionToken token;
+  auto call = [&](MessageType type, const std::string& payload,
+                  uint64_t request_id) {
+    const WireFrame frame = RawCall(channel, type, payload, request_id);
+    std::string normalized = frame.payload;
+    if (frame.type == MessageType::kHelloOk) {
+      HelloResponse hello;
+      EXPECT_TRUE(DecodeHelloResponse(frame.payload, &hello).ok());
+      hello.token.nonce = 0;
+      normalized = EncodeHelloResponse(hello);
+    } else if (frame.type == MessageType::kApplyOk) {
+      ApplyResult result;
+      EXPECT_TRUE(DecodeApplyResult(frame.payload, &result).ok());
+      result.wal_sequence = 0;
+      normalized = EncodeApplyResult(result);
+    }
+    out.emplace_back(frame.type, std::move(normalized));
+    return frame;
+  };
+  auto apply = [&](int k, uint64_t request_id) {
+    call(MessageType::kApply,
+         EncodeApplyRequest(world.schema, world.acs, token, world.Link(k),
+                            world.LinkFacts(k)),
+         request_id);
+  };
+
+  HelloResponse hello;
+  EXPECT_TRUE(DecodeHelloResponse(
+                  call(MessageType::kHello, EncodeHelloRequest({}), 1).payload,
+                  &hello)
+                  .ok());
+  token = hello.token;
+  call(MessageType::kRegisterQuery,
+       EncodeRegisterQueryRequest(world.schema, token, world.BoolQuery()), 2);
+  call(MessageType::kRegisterStream,
+       EncodeRegisterStreamRequest(world.schema, token, world.KaryQuery(), {}),
+       3);
+  apply(0, 3);  // reuses the live stream registration's id
+  for (int k = 0; k < 3; ++k) apply(k, static_cast<uint64_t>(4 + k));
+  apply(2, 6);  // an exact duplicate of the last apply
+  apply(0, 4);  // the first apply's id, evicted from a window of two
+  const WireFrame polled =
+      call(MessageType::kPoll, EncodePollRequest(token, 0, 0), 7);
+  StreamDelta delta;
+  EXPECT_TRUE(DecodePollResponse(world.schema, polled.payload, &delta).ok());
+  call(MessageType::kAcknowledge,
+       EncodeAckRequest(token, 0, delta.last_sequence), 8);
+  call(MessageType::kPoll, EncodePollRequest(token, 0, delta.last_sequence),
+       9);
+  call(MessageType::kPoll, EncodePollRequest(token, 1, 0), 10);
+  call(MessageType::kGoodbye, EncodeGoodbyeRequest(token), 11);
+  call(MessageType::kPing, EncodePingRequest(token), 12);
+  return out;
+}
+
+TEST(ServingModesTest, InMemoryAndDurableServersAnswerAlike) {
+  ServerOptions opts;
+  opts.dedup_window = 2;
+  EngineOptions quiet;
+  quiet.num_threads = 1;
+
+  // Two identical worlds, so fresh constants get the same spellings.
+  ChainWorld mem_world(4);
+  RelevanceEngine engine(mem_world.schema, mem_world.acs, mem_world.conf,
+                         quiet);
+  RelevanceStreamRegistry registry(&engine);
+  SessionServer in_memory(&engine, &registry, opts);
+  const auto want = RunServingScript(&in_memory, mem_world);
+
+  ChainWorld log_world(4);
+  auto store = DurableSession::Open(log_world.schema, log_world.acs,
+                                    log_world.conf, TestDir("modes"), {},
+                                    quiet);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  SessionServer durable(store->get(), opts);
+  const auto got = RunServingScript(&durable, log_world);
+
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << "response " << i;
+    EXPECT_EQ(got[i].second, want[i].second) << "response " << i;
+  }
+
+  // The script reaches every dedup outcome: the reused id's type
+  // mismatch, the duplicate's hit and the evicted id's stale rejection.
+  ASSERT_EQ(want.size(), 15u);
+  WireError mismatch, stale;
+  ASSERT_EQ(want[3].first, MessageType::kError);
+  ASSERT_TRUE(DecodeWireError(want[3].second, &mismatch).ok());
+  EXPECT_EQ(mismatch.code, WireErrorCode::kBadRequest);
+  EXPECT_EQ(want[7], want[6]);
+  ASSERT_EQ(want[8].first, MessageType::kError);
+  ASSERT_TRUE(DecodeWireError(want[8].second, &stale).ok());
+  EXPECT_EQ(stale.code, WireErrorCode::kStaleRequest);
+  EXPECT_EQ(engine.stats().server_dedup_hits, 1u);
+  EXPECT_EQ(durable.engine().stats().server_dedup_hits, 1u);
+}
+
 // -------------------------------------------------------------- deadlines
 
 TEST(DeadlineTest, ExpiredFrameRejectedBeforeAnyMutation) {
@@ -453,6 +568,50 @@ TEST(HeartbeatTest, PingKeepsSessionAliveWhileSilentPeerIsReaped) {
   EXPECT_TRUE(live.Ping().ok());
   EXPECT_EQ(silent.Ping().status().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(engine.stats().server_sessions_reaped, 1u);
+}
+
+TEST(HeartbeatTest, ReaperNeverRetiresAnActiveSession) {
+  // The reaper must read its clock under the session table's lock: a
+  // ping that stamps a session between an earlier clock read and the lock
+  // makes `now - last` wrap around, and the session looks idle forever.
+  ChainWorld world(2);
+  RelevanceEngine engine(world.schema, world.acs, world.conf, {});
+  RelevanceStreamRegistry registry(&engine);
+  ServerOptions opts;
+  opts.idle_timeout_ms = 60000;
+  SessionServer server(&engine, &registry, opts);
+
+  constexpr int kClients = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> pings{0}, failures{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&] {
+      LoopbackChannel channel(&server);
+      RarClient client(&channel, &world.schema, &world.acs);
+      if (!client.Hello().ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      while (!stop.load()) {
+        if (!client.Ping().ok()) failures.fetch_add(1);
+        pings.fetch_add(1);
+      }
+    });
+  }
+  size_t reaped = 0;
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (std::chrono::steady_clock::now() < until) {
+    reaped += server.ReapIdleSessions();
+  }
+  stop.store(true);
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_GT(pings.load(), 0u);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(reaped, 0u);
+  EXPECT_EQ(server.num_sessions(), static_cast<size_t>(kClients));
 }
 
 TEST(HeartbeatTest, PeerSuspicionTripsAfterConsecutiveFailuresAndResets) {
@@ -634,7 +793,10 @@ TEST(ChaosRetryTest, DroppedResponsesRecoverWithExactlyOnceEffect) {
 
 // -------------------------------------------------------------- chaos soak
 
-TEST(ChaosSoakTest, MultiClientSoakKeepsSafetyAndLiveness) {
+// Parameter: serve from a store with a log (true) or without one.
+class ChaosSoakTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ChaosSoakTest, MultiClientSoakKeepsSafetyAndLiveness) {
   constexpr int kClients = 4;
   constexpr int kLinksPerClient = 8;
   ChainWorld world(kClients * kLinksPerClient + 1);
@@ -643,9 +805,26 @@ TEST(ChaosSoakTest, MultiClientSoakKeepsSafetyAndLiveness) {
   for (int i = 1; i < kClients; ++i) {
     world.conf.AddSeedConstant(world.c[i * kLinksPerClient], world.d);
   }
+  const bool logged = GetParam();
+  const std::string dir = TestDir("soak");
   RelevanceEngine engine(world.schema, world.acs, world.conf, {});
   RelevanceStreamRegistry registry(&engine);
-  SessionServer server(&engine, &registry, {});
+  std::unique_ptr<DurableSession> store;
+  std::unique_ptr<SessionServer> owner;
+  // Snapshots every few records, so some run while other clients mutate:
+  // they read every session's window under the store mutex alone.
+  PersistOptions popts;
+  popts.snapshot_every_records = 16;
+  if (logged) {
+    auto opened = DurableSession::Open(world.schema, world.acs, world.conf,
+                                       dir, popts, {});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    store = std::move(*opened);
+    owner = std::make_unique<SessionServer>(store.get());
+  } else {
+    owner = std::make_unique<SessionServer>(&engine, &registry);
+  }
+  SessionServer& server = *owner;
 
   struct ClientReport {
     bool ok = false;
@@ -771,7 +950,23 @@ TEST(ChaosSoakTest, MultiClientSoakKeepsSafetyAndLiveness) {
   EXPECT_EQ(served->bindings_tracked, direct.bindings_tracked);
   EXPECT_EQ(SnapshotKey(world.schema, *served),
             SnapshotKey(world.schema, direct));
+
+  if (!logged) return;
+  // Durability: the directory reopens to exactly the served state.
+  const VersionVector served_versions = server.engine().versions();
+  owner.reset();
+  store.reset();
+  auto reopened = DurableSession::Open(world.schema, world.acs, world.conf,
+                                       dir, popts, {});
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_TRUE((*reopened)->recovery().from_snapshot);
+  EXPECT_EQ((*reopened)->engine().versions(), served_versions);
 }
+
+INSTANTIATE_TEST_SUITE_P(, ChaosSoakTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Durable" : "InMemory";
+                         });
 
 // --------------------------------------------------- crash + retry dedup
 
