@@ -92,6 +92,54 @@ void BM_IR_DpEncoding(benchmark::State& state) {
 }
 BENCHMARK(BM_IR_DpEncoding)->DenseRange(2, 5);
 
+void BM_IR_HeadBoundBindingQuery(benchmark::State& state) {
+  // The stream registry's binding-query shape: Q(X) :- Listing(X, S),
+  // Vetted(S) with the head X substituted by one item, probed with the
+  // Boolean vetted access of one of that item's sellers (relevant: the
+  // access witnesses Vetted(S)). |Conf| = state.range(0) Listing facts,
+  // two sellers per item; no Vetted facts, so the query is not certain.
+  // The bound head constant narrows Listing to the item's two facts, so
+  // the cost should stay flat as |Conf| grows.
+  const int num_facts = static_cast<int>(state.range(0));
+  rar::Schema schema;
+  const rar::DomainId item = schema.AddDomain("Item");
+  const rar::DomainId seller = schema.AddDomain("Seller");
+  const rar::RelationId listing =
+      *schema.AddRelation("Listing", {{"item", item}, {"seller", seller}});
+  const rar::RelationId vetted =
+      *schema.AddRelation("Vetted", {{"seller", seller}});
+  rar::AccessMethodSet acs(&schema);
+  const rar::AccessMethodId vetted_check =
+      *acs.Add("vetted_check", vetted, {0}, /*dependent=*/true);
+  std::vector<rar::Value> sellers;
+  for (int i = 0; i < 50; ++i) {
+    sellers.push_back(schema.InternConstant("s" + std::to_string(i)));
+  }
+  rar::Configuration conf(&schema);
+  std::vector<rar::Value> items;
+  for (int i = 0; i < num_facts / 2; ++i) {
+    items.push_back(schema.InternConstant("i" + std::to_string(i)));
+    conf.AddFact(rar::Fact(listing, {items.back(), sellers[i % 50]}));
+    conf.AddFact(rar::Fact(listing, {items.back(), sellers[(i * 7 + 1) % 50]}));
+  }
+  const int k = num_facts / 4;  // an item in the middle of the store
+  rar::ConjunctiveQuery q;
+  const rar::VarId s = q.AddVar("S", seller);
+  q.atoms.push_back(rar::Atom{
+      listing, {rar::Term::MakeConst(items[k]), rar::Term::MakeVar(s)}});
+  q.atoms.push_back(rar::Atom{vetted, {rar::Term::MakeVar(s)}});
+  (void)q.Validate(schema);
+  rar::UnionQuery binding_query;
+  binding_query.disjuncts.push_back(q);
+  const rar::Access probe{vetted_check, {sellers[(k * 7 + 1) % 50]}};
+  for (auto _ : state) {
+    bool ir = rar::IsImmediatelyRelevant(conf, acs, probe, binding_query);
+    benchmark::DoNotOptimize(ir);
+  }
+  state.SetLabel("|Conf| = " + std::to_string(conf.NumFacts()));
+}
+BENCHMARK(BM_IR_HeadBoundBindingQuery)->Arg(100)->Arg(1000)->Arg(10000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -84,6 +84,37 @@ void BM_LtrDependent_GeneralAccessExtension(benchmark::State& state) {
 }
 BENCHMARK(BM_LtrDependent_GeneralAccessExtension)->DenseRange(1, 6);
 
+void BM_LtrDependent_GrowingAdom(benchmark::State& state) {
+  // The general-access extension at chain length 3 under a fixed query,
+  // with the active domain padded by state.range(0) values of a domain no
+  // method or query variable reads. The witness search's own work is the
+  // same at every size, so growth with the padding is the cost of reading
+  // the active domain at each search node.
+  const int padding = static_cast<int>(state.range(0));
+  rar::ChainFamily family = rar::MakeChainFamily(3);
+  rar::Schema& schema = *family.scenario.schema;
+  const rar::DomainId pad = schema.AddDomain("Pad");
+  for (int i = 0; i < padding; ++i) {
+    family.scenario.conf.AddSeedConstant(
+        schema.InternConstant("p" + std::to_string(i)), pad);
+  }
+  rar::Access probe{0, {schema.InternConstant("c1")}};
+  rar::ContainmentOptions opts;
+  opts.max_aux_facts = 5;
+  // Verdict only, as on the engine's check path (building the witness
+  // materializes the configuration once per call).
+  opts.build_witness = false;
+  for (auto _ : state) {
+    auto ltr = rar::IsLongTermRelevantDependentGeneral(
+        family.scenario.conf, family.scenario.acs, probe, family.contained,
+        opts);
+    benchmark::DoNotOptimize(ltr.ok());
+  }
+  state.SetLabel("|Adom| = " +
+                 std::to_string(family.scenario.conf.adom_version()));
+}
+BENCHMARK(BM_LtrDependent_GrowingAdom)->Arg(100)->Arg(1000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

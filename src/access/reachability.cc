@@ -6,29 +6,35 @@ namespace rar {
 
 namespace {
 
-// Insertion-ordered typed-value set: keeps a deterministic first-seen
-// order (the witness search consumes `accessible` newest-first to extend
-// chain frontiers before revisiting old values).
-class TypedValueSet {
+// The accessible typed values of one greedy fixpoint: the configuration's
+// own active domain, probed through AdomContains and never copied, plus
+// the values placed facts add, hashed in insertion order (the witness
+// search consumes them newest-first to extend chain frontiers before
+// revisiting old values).
+class AccessibleSet {
  public:
-  bool Insert(const TypedValue& tv) {
-    if (!set_.insert(tv).second) return false;
-    ordered_.push_back(tv);
-    return true;
+  explicit AccessibleSet(const ConfigView& conf) : conf_(conf) {}
+
+  bool Contains(const TypedValue& tv) const {
+    return conf_.AdomContains(tv.value, tv.domain) || added_.count(tv) > 0;
   }
-  bool Contains(const TypedValue& tv) const { return set_.count(tv) > 0; }
-  const std::vector<TypedValue>& ordered() const { return ordered_; }
+  void Insert(const TypedValue& tv) {
+    if (conf_.AdomContains(tv.value, tv.domain)) return;
+    if (added_.insert(tv).second) added_order_.push_back(tv);
+  }
+  std::vector<TypedValue> TakeAdded() { return std::move(added_order_); }
 
  private:
-  std::unordered_set<TypedValue, TypedValueHash> set_;
-  std::vector<TypedValue> ordered_;
+  const ConfigView& conf_;
+  std::unordered_set<TypedValue, TypedValueHash> added_;
+  std::vector<TypedValue> added_order_;
 };
 
 // True when `fact` can be placed now via `m`: every dependent input value is
 // accessible in the input attribute's domain. Independent methods accept any
 // input values (free guesses).
 bool Placeable(const Schema& schema, const AccessMethod& m, const Fact& fact,
-               const TypedValueSet& accessible) {
+               const AccessibleSet& accessible) {
   if (!m.dependent) return true;
   const Relation& rel = schema.relation(fact.relation);
   for (int pos : m.input_positions) {
@@ -39,7 +45,7 @@ bool Placeable(const Schema& schema, const AccessMethod& m, const Fact& fact,
 }
 
 void MakeAccessible(const Schema& schema, const Fact& fact,
-                    TypedValueSet* accessible) {
+                    AccessibleSet* accessible) {
   const Relation& rel = schema.relation(fact.relation);
   for (int pos = 0; pos < fact.arity(); ++pos) {
     accessible->Insert(TypedValue{fact.values[pos],
@@ -55,8 +61,7 @@ ReachResult CheckSetReachability(const ConfigView& conf,
   const Schema& schema = *acs.schema();
   ReachResult result;
 
-  TypedValueSet accessible;
-  for (const TypedValue& tv : conf.AdomEntries()) accessible.Insert(tv);
+  AccessibleSet accessible(conf);
 
   std::vector<int> pending;
   for (int i = 0; i < static_cast<int>(facts.size()); ++i) {
@@ -89,7 +94,7 @@ ReachResult CheckSetReachability(const ConfigView& conf,
     }
   }
 
-  result.accessible = accessible.ordered();
+  result.accessible = accessible.TakeAdded();
 
   if (pending.empty()) {
     result.reachable = true;
@@ -98,7 +103,7 @@ ReachResult CheckSetReachability(const ConfigView& conf,
 
   result.reachable = false;
   result.unplaced = pending;
-  TypedValueSet missing_seen;
+  std::unordered_set<TypedValue, TypedValueHash> missing_seen;
   for (int idx : pending) {
     const Fact& f = facts[idx];
     const Relation& rel = schema.relation(f.relation);
@@ -107,7 +112,7 @@ ReachResult CheckSetReachability(const ConfigView& conf,
       if (!m.dependent) continue;
       for (int pos : m.input_positions) {
         TypedValue tv{f.values[pos], rel.attributes[pos].domain};
-        if (!accessible.Contains(tv) && missing_seen.Insert(tv)) {
+        if (!accessible.Contains(tv) && missing_seen.insert(tv).second) {
           result.missing_inputs.push_back(tv);
         }
       }

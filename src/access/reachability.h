@@ -5,7 +5,8 @@
 // legal response to a well-formed access? Because the active domain only
 // grows along a path, a greedy fixpoint is complete for a *fixed* fact set
 // — this is the polynomial-time workhorse (`CheckSetReachability`) that the
-// exponential searches call in their inner loop.
+// exponential searches call in their inner loop. Its cost follows |F|, not
+// |Adom|: the configuration's active domain is probed, never copied.
 //
 // `ProducibleDomains` computes the abstract domains in which fresh values
 // can be manufactured at all (the fixpoint underlying the auxiliary-chain
@@ -36,9 +37,12 @@ struct ReachResult {
   /// position of some unplaced fact and are not accessible. Producing any
   /// of them (or more of them) is the only way to make progress.
   std::vector<TypedValue> missing_inputs;
-  /// The accessible typed values at the greedy fixpoint (initial active
-  /// domain plus every value of every placed fact). The witness search
-  /// draws auxiliary-access inputs from this set.
+  /// The typed values the placed facts made accessible beyond the
+  /// configuration's own active domain, in first-seen order. The accessible
+  /// set at the greedy fixpoint is `conf`'s active domain plus these; the
+  /// active domain itself is probed, never copied, so a caller that needs
+  /// its values reads them from `conf` (the witness search reads them once
+  /// per search and draws auxiliary-access inputs from both).
   std::vector<TypedValue> accessible;
 };
 

@@ -1,5 +1,6 @@
 #include "containment/access_containment.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -197,12 +198,14 @@ class DependentDisjunctSearch {
 
     // Index accessible values and missing values by domain. Newest values
     // first: auxiliary chains preferentially extend the current frontier
-    // instead of re-branching from old values, which keeps witnesses short
-    // (reach.accessible is in deterministic first-seen order).
-    std::unordered_map<DomainId, std::vector<Value>> accessible_by_domain;
+    // instead of re-branching from old values, which keeps witnesses short.
+    // The values placed facts added come newest-first (reach.accessible is
+    // in deterministic first-seen order), then the base active domain in
+    // descending order.
+    std::unordered_map<DomainId, std::vector<Value>> added_by_domain;
     for (auto it = reach.accessible.rbegin(); it != reach.accessible.rend();
          ++it) {
-      accessible_by_domain[it->domain].push_back(it->value);
+      added_by_domain[it->domain].push_back(it->value);
     }
     std::unordered_map<DomainId, std::vector<Value>> missing_by_domain;
     for (const TypedValue& tv : reach.missing_inputs) {
@@ -229,15 +232,19 @@ class DependentDisjunctSearch {
         DomainId dom = rel.attributes[pos].domain;
         std::vector<SlotChoice>& cands = slot_candidates[pos];
         bool is_input = m.IsInputPosition(pos);
-        if (is_input && m.dependent) {
-          for (const Value& v : accessible_by_domain[dom]) {
+        auto push_accessible = [&]() {
+          for (const Value& v : added_by_domain[dom]) {
             cands.push_back({v, SlotKind::kOld});
           }
+          for (const Value& v : BaseAdomDescending(dom)) {
+            cands.push_back({v, SlotKind::kOld});
+          }
+        };
+        if (is_input && m.dependent) {
+          push_accessible();
           if (cands.empty()) viable = false;
         } else if (is_input) {  // independent input: free guess
-          for (const Value& v : accessible_by_domain[dom]) {
-            cands.push_back({v, SlotKind::kOld});
-          }
+          push_accessible();
           for (const Value& v : missing_by_domain[dom]) {
             cands.push_back({v, SlotKind::kMissing});
           }
@@ -291,6 +298,17 @@ class DependentDisjunctSearch {
     return false;
   }
 
+  // The base active domain of `dom` in descending value order, read from
+  // conf_ once per search (the base does not change while it runs).
+  const std::vector<Value>& BaseAdomDescending(DomainId dom) {
+    auto [it, fresh] = base_adom_desc_.try_emplace(dom);
+    if (fresh) {
+      it->second = conf_.AdomOfDomain(dom).ToVector();
+      std::sort(it->second.rbegin(), it->second.rend());
+    }
+    return it->second;
+  }
+
   const Schema& schema_;
   const AccessMethodSet& acs_;
   const ConfigView& conf_;
@@ -303,6 +321,7 @@ class DependentDisjunctSearch {
   std::vector<Value> assignment_;
   OverlayConfiguration working_;
   std::unordered_map<DomainId, std::vector<Value>> null_blocks_;
+  std::unordered_map<DomainId, std::vector<Value>> base_adom_desc_;
   std::vector<Fact>* witness_facts_ = nullptr;
 };
 

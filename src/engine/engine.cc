@@ -524,9 +524,93 @@ bool RelevanceEngine::IsCertain(QueryId id) {
   return CertainLocked(id);
 }
 
-CheckOutcome RelevanceEngine::CheckLocked(QueryId id, CheckKind kind,
+class RelevanceEngine::CheckLocks {
+ public:
+  explicit CheckLocks(const RelevanceEngine& engine)
+      : engine_(engine), checking_(&engine.active_checks_),
+        state_(engine.state_mu_) {
+    if (engine.active_applies_.load(std::memory_order_relaxed) > 0) {
+      engine.counters_.Bump(engine.counters_.overlapped_checks);
+    }
+    adom_ = std::shared_lock<std::shared_mutex>(engine.adom_mu_);
+  }
+
+  void PinStripes(const RelationFootprint& fp) {
+    stripes_ = engine_.LockStripesShared(engine_.StripesFor(fp));
+  }
+
+ private:
+  const RelevanceEngine& engine_;
+  ActivityScope checking_;
+  std::shared_lock<std::shared_mutex> state_;
+  std::shared_lock<std::shared_mutex> adom_;
+  std::vector<std::shared_lock<std::shared_mutex>> stripes_;
+};
+
+class RelevanceEngine::CheckScope {
+ public:
+  /// One accessed relation's check footprint and its cache stamp.
+  struct Stamped {
+    RelationId accessed;
+    RelationFootprint fp;
+    VersionStamp stamp;
+  };
+
+  CheckScope(RelevanceEngine* engine, QueryId id, CheckKind kind)
+      : engine_(engine), id_(id), kind_(kind), qs_(*engine->queries_[id]),
+        seed_overlay_(&engine->conf_) {}
+
+  QueryId id() const { return id_; }
+  CheckKind kind() const { return kind_; }
+  const QueryState& qs() const { return qs_; }
+  std::optional<bool> certain() const { return certain_; }
+
+  bool Certain() {
+    if (!certain_.has_value()) certain_ = engine_->CertainLocked(id_);
+    return *certain_;
+  }
+
+  // Queries carrying constants outside the active domain (Prop 2.2 fresh
+  // head bindings) are decided over a seeded overlay — the same view the
+  // one-shot k-ary wrappers build; everyone else reads conf_ directly.
+  const ConfigView& View() {
+    if (view_ == nullptr) {
+      view_ = &engine_->SeededViewLocked(qs_, &seed_overlay_);
+    }
+    return *view_;
+  }
+
+  /// The footprint and stamp of a check of an access over `accessed`.
+  /// The reference is valid until the next call.
+  const Stamped& StampOf(RelationId accessed) {
+    for (const Stamped& s : stamped_) {
+      if (s.accessed == accessed) return s;
+    }
+    RelationFootprint fp =
+        kind_ == CheckKind::kImmediate
+            ? RelevanceAnalyzer::ImmediateFootprint(qs_.footprint, accessed)
+            : RelevanceAnalyzer::LongTermFootprint(qs_.footprint, accessed);
+    VersionStamp stamp = engine_->StampFor(fp);
+    stamped_.push_back(Stamped{accessed, std::move(fp), std::move(stamp)});
+    return stamped_.back();
+  }
+
+ private:
+  RelevanceEngine* engine_;
+  const QueryId id_;
+  const CheckKind kind_;
+  const QueryState& qs_;
+  std::optional<bool> certain_;
+  OverlayConfiguration seed_overlay_;
+  const ConfigView* view_ = nullptr;
+  std::vector<Stamped> stamped_;
+};
+
+CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
                                           const Access& access) {
   CheckOutcome out;
+  const QueryId id = scope->id();
+  const CheckKind kind = scope->kind();
   const bool is_ir = (kind == CheckKind::kImmediate);
   counters_.Bump(is_ir ? counters_.ir_checks : counters_.ltr_checks);
 
@@ -568,7 +652,7 @@ CheckOutcome RelevanceEngine::CheckLocked(QueryId id, CheckKind kind,
   // describes. The per-query certainty flag already serves it for every
   // (method, binding), so no per-access entry is inserted (a settled query
   // probed forever would otherwise grow the cache without bound).
-  if (CertainLocked(id)) {
+  if (scope->Certain()) {
     counters_.Bump(counters_.cache_hits);
     counters_.Bump(counters_.sticky_hits);
     out.relevant = false;
@@ -576,18 +660,14 @@ CheckOutcome RelevanceEngine::CheckLocked(QueryId id, CheckKind kind,
     return out;
   }
 
-  const QueryState& qs = *queries_[id];
+  const QueryState& qs = scope->qs();
   DecisionKey key{id, kind, access.method, access.binding};
-  VersionStamp stamp;
+  const CheckScope::Stamped* stamped = nullptr;
   uint64_t ep = 0;
   if (options_.enable_cache) {
-    const RelationId accessed = acs_.method(access.method).relation;
-    RelationFootprint fp =
-        is_ir ? RelevanceAnalyzer::ImmediateFootprint(qs.footprint, accessed)
-              : RelevanceAnalyzer::LongTermFootprint(qs.footprint, accessed);
-    stamp = StampFor(fp);
+    stamped = &scope->StampOf(acs_.method(access.method).relation);
     ep = epoch();
-    DecisionCache::Probe probe = cache_.Lookup(key, stamp, ep);
+    DecisionCache::Probe probe = cache_.Lookup(key, stamped->stamp, ep);
     if (probe.status == DecisionCache::ProbeStatus::kHit) {
       counters_.Bump(counters_.cache_hits);
       if (probe.hit.sticky) counters_.Bump(counters_.sticky_hits);
@@ -598,22 +678,21 @@ CheckOutcome RelevanceEngine::CheckLocked(QueryId id, CheckKind kind,
     }
     if (probe.status == DecisionCache::ProbeStatus::kStale) {
       counters_.Bump(counters_.stale_invalidations);
-      size_t slot = StaleComponentTarget(fp, probe.stale_component);
+      size_t slot = StaleComponentTarget(stamped->fp, probe.stale_component);
       invalidations_by_relation_[slot].fetch_add(1,
                                                  std::memory_order_relaxed);
     }
   }
   counters_.Bump(counters_.cache_misses);
 
-  // Queries carrying constants outside the active domain (Prop 2.2 fresh
-  // head bindings) are decided over a seeded overlay — the same view the
-  // one-shot k-ary wrappers build; everyone else reads conf_ directly.
-  OverlayConfiguration seed_overlay(&conf_);
-  const ConfigView& view = SeededViewLocked(qs, &seed_overlay);
-
+  const ConfigView& view = scope->View();
   const uint64_t t0 = MonotonicNs();
   if (is_ir) {
-    out.relevant = analyzer_.Immediate(view, access, qs.query);
+    // The search step of Prop 4.1 alone: the gates above already showed
+    // the access well-formed at conf_ (so at the seeded view, whose Adom
+    // only adds seeds) and the query not certain (certainty reads facts,
+    // and the seeded view adds none).
+    out.relevant = HasImmediateWitness(view, acs_, access, qs.query);
     const uint64_t decider_ns = MonotonicNs() - t0;
     counters_.Bump(counters_.uncached_ir_checks);
     counters_.Bump(counters_.ir_time_ns, decider_ns);
@@ -632,33 +711,65 @@ CheckOutcome RelevanceEngine::CheckLocked(QueryId id, CheckKind kind,
     out.relevant = *r;
   }
   if (options_.enable_cache) {
-    cache_.Insert(key, out.relevant, /*sticky=*/false, std::move(stamp), ep);
+    cache_.Insert(key, out.relevant, /*sticky=*/false, stamped->stamp, ep);
   }
   return out;
 }
 
+CheckOutcome RelevanceEngine::CheckOne(QueryId id, CheckKind kind,
+                                       const Access& access) {
+  CheckLocks locks(*this);
+  RelationFootprint fp = LockFootprint(id, kind);
+  AddAccessed(access, &fp);
+  locks.PinStripes(fp);
+  CheckScope scope(this, id, kind);
+  return CheckLocked(&scope, access);
+}
+
 CheckOutcome RelevanceEngine::CheckImmediate(QueryId id, const Access& access) {
-  ActivityScope checking(&active_checks_);
-  std::shared_lock<std::shared_mutex> state(state_mu_);
-  if (active_applies_.load(std::memory_order_relaxed) > 0) {
-    counters_.Bump(counters_.overlapped_checks);
-  }
-  std::shared_lock<std::shared_mutex> adom(adom_mu_);
-  auto stripes = LockStripesShared(StripesForCheck(id, CheckKind::kImmediate,
-                                                   {&access, 1}));
-  return CheckLocked(id, CheckKind::kImmediate, access);
+  return CheckOne(id, CheckKind::kImmediate, access);
 }
 
 CheckOutcome RelevanceEngine::CheckLongTerm(QueryId id, const Access& access) {
-  ActivityScope checking(&active_checks_);
-  std::shared_lock<std::shared_mutex> state(state_mu_);
-  if (active_applies_.load(std::memory_order_relaxed) > 0) {
-    counters_.Bump(counters_.overlapped_checks);
+  return CheckOne(id, CheckKind::kLongTerm, access);
+}
+
+RelevanceEngine::ScanOutcome RelevanceEngine::FirstRelevant(
+    QueryId id, CheckKind kind, const Access* accesses, size_t count,
+    const std::function<bool(AccessMethodId)>& applicable,
+    bool conservative_on_unknown) {
+  ScanOutcome result;
+  // The filter runs before any lock, once per method: only the relations
+  // of admitted methods join the lock footprint.
+  std::vector<char> admitted(acs_.size(), 0);
+  RelationFootprint admitted_relations;
+  for (AccessMethodId mid = 0; mid < acs_.size(); ++mid) {
+    if (!applicable(mid)) continue;
+    admitted[mid] = 1;
+    admitted_relations.Add(acs_.method(mid).relation);
   }
-  std::shared_lock<std::shared_mutex> adom(adom_mu_);
-  auto stripes = LockStripesShared(StripesForCheck(id, CheckKind::kLongTerm,
-                                                   {&access, 1}));
-  return CheckLocked(id, CheckKind::kLongTerm, access);
+  if (admitted_relations.relations.empty()) return result;
+
+  CheckLocks locks(*this);
+  RelationFootprint fp = LockFootprint(id, kind);
+  for (RelationId rel : admitted_relations.relations) fp.Add(rel);
+  locks.PinStripes(fp);
+  CheckScope scope(this, id, kind);
+  for (size_t i = 0; i < count; ++i) {
+    if (accesses[i].method >= acs_.size() || !admitted[accesses[i].method]) {
+      continue;
+    }
+    const CheckOutcome out = CheckLocked(&scope, accesses[i]);
+    const bool relevant =
+        out.ok() ? out.relevant
+                 : kind == CheckKind::kLongTerm && conservative_on_unknown;
+    if (relevant) {
+      result.index = static_cast<int>(i);
+      break;
+    }
+  }
+  result.certain = scope.certain();
+  return result;
 }
 
 std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
@@ -670,25 +781,21 @@ std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
   std::vector<CheckOutcome> results(accesses.size());
   if (accesses.empty()) return results;
 
-  ActivityScope checking(&active_checks_);
-  std::shared_lock<std::shared_mutex> state(state_mu_);
-  if (active_applies_.load(std::memory_order_relaxed) > 0) {
-    counters_.Bump(counters_.overlapped_checks);
-  }
-  std::shared_lock<std::shared_mutex> adom(adom_mu_);
-  auto stripes = LockStripesShared(
-      StripesForCheck(id, kind, {accesses.data(), accesses.size()}));
+  CheckLocks locks(*this);
+  RelationFootprint fp = LockFootprint(id, kind);
+  for (const Access& a : accesses) AddAccessed(a, &fp);
+  locks.PinStripes(fp);
+  auto check = [&](size_t i) {
+    CheckScope scope(this, id, kind);
+    results[i] = CheckLocked(&scope, accesses[i]);
+  };
   if (accesses.size() == 1 || pool_.size() == 1) {
-    for (size_t i = 0; i < accesses.size(); ++i) {
-      results[i] = CheckLocked(id, kind, accesses[i]);
-    }
+    for (size_t i = 0; i < accesses.size(); ++i) check(i);
     return results;
   }
   // Workers share the caller's locks: the pool runs strictly inside this
   // scope, so the footprint's shards cannot move underneath them.
-  pool_.ParallelFor(accesses.size(), [&](size_t i) {
-    results[i] = CheckLocked(id, kind, accesses[i]);
-  });
+  pool_.ParallelFor(accesses.size(), check);
   return results;
 }
 
@@ -701,23 +808,16 @@ std::vector<CheckOutcome> RelevanceEngine::CheckMany(
   counters_.Bump(counters_.batch_items,
                  static_cast<uint64_t>(requests.size()));
 
-  ActivityScope checking(&active_checks_);
-  std::shared_lock<std::shared_mutex> state(state_mu_);
-  if (active_applies_.load(std::memory_order_relaxed) > 0) {
-    counters_.Bump(counters_.overlapped_checks);
-  }
-  std::shared_lock<std::shared_mutex> adom(adom_mu_);
-  // Union lock footprint across items (same widening rules as
-  // StripesForCheck, computed once).
+  CheckLocks locks(*this);
+  // Union lock footprint across items (each item's LockFootprint plus its
+  // accessed relation, computed once).
   RelationFootprint fp;
   bool ltr_dependent = false;
   for (const CheckRequest& req : requests) {
     for (RelationId rel : queries_[req.query]->footprint.relations) {
       fp.Add(rel);
     }
-    if (req.access.method < acs_.size()) {
-      fp.Add(acs_.method(req.access.method).relation);
-    }
+    AddAccessed(req.access, &fp);
     if (req.kind == CheckKind::kLongTerm && !acs_.AllIndependent()) {
       ltr_dependent = true;
     }
@@ -727,33 +827,28 @@ std::vector<CheckOutcome> RelevanceEngine::CheckMany(
       fp.Add(acs_.method(mid).relation);
     }
   }
-  auto stripes = LockStripesShared(StripesFor(fp));
+  locks.PinStripes(fp);
+  auto check = [&](size_t i) {
+    CheckScope scope(this, requests[i].query, requests[i].kind);
+    results[i] = CheckLocked(&scope, requests[i].access);
+  };
   if (!parallel || requests.size() == 1 || pool_.size() == 1) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      results[i] = CheckLocked(requests[i].query, requests[i].kind,
-                               requests[i].access);
-    }
+    for (size_t i = 0; i < requests.size(); ++i) check(i);
     return results;
   }
   // Workers share the caller's locks (see CheckBatch).
-  pool_.ParallelFor(requests.size(), [&](size_t i) {
-    results[i] = CheckLocked(requests[i].query, requests[i].kind,
-                             requests[i].access);
-  });
+  pool_.ParallelFor(requests.size(), check);
   return results;
 }
 
-std::vector<size_t> RelevanceEngine::StripesForCheck(
-    QueryId id, CheckKind kind, AccessSpan accesses) const {
+RelationFootprint RelevanceEngine::LockFootprint(QueryId id,
+                                                 CheckKind kind) const {
   // The deciders read through ConfigView overlays (no structural copy of
   // the configuration), so a check pins exactly the relations it reads:
-  // the query's relations plus each probed access's relation. LTR checks
-  // therefore overlap footprint-disjoint applies just like IR checks do.
+  // the query's relations plus each probed access's relation (added by
+  // the caller). LTR checks therefore overlap footprint-disjoint applies
+  // just like IR checks do.
   RelationFootprint fp = queries_[id]->footprint;
-  for (size_t i = 0; i < accesses.size; ++i) {
-    AccessMethodId mid = accesses.data[i].method;
-    if (mid < acs_.size()) fp.Add(acs_.method(mid).relation);
-  }
   // With dependent methods in play, the LTR containment searches probe
   // Contains() on any relation that has a method (auxiliary production
   // facts of the witness chase), so those relations join the *lock*
@@ -765,7 +860,7 @@ std::vector<size_t> RelevanceEngine::StripesForCheck(
       fp.Add(acs_.method(mid).relation);
     }
   }
-  return StripesFor(fp);
+  return fp;
 }
 
 double RelevanceEngine::ScoreAccess(QueryId id, const Access& access) const {

@@ -25,6 +25,10 @@
 //    and with each other;
 //  * batch + concurrent API — `CheckBatch` fans a span of accesses out
 //    over a worker pool;
+//  * scans — `FirstRelevant` finds the first relevant access of a list
+//    under one acquisition of the check locks, deriving the query's
+//    certainty, seeded view and cache stamps once per scan (the stream
+//    registry's per-binding recheck);
 //  * scheduling — `CandidateAccesses` ranks the frontier by cached
 //    relevance and query criticality, so callers probe the most promising
 //    accesses first;
@@ -34,7 +38,9 @@
 #define RAR_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <unordered_set>
 #include <vector>
@@ -192,11 +198,14 @@ struct CheckOutcome {
 /// Thread model (lock order: state_mu_ > adom_mu_ > stripes ascending >
 /// frontier_mu_ > leaf mutexes):
 ///  * Checks take `state_mu_` shared, `adom_mu_` shared, and the stripe
-///    locks of their footprint shared. LTR checks included: the deciders
-///    read through ConfigView overlays (relational/overlay.h) instead of
+///    locks of their footprint shared, once per call: one access
+///    (CheckImmediate / CheckLongTerm), a batch (CheckBatch / CheckMany)
+///    or a scan (FirstRelevant). LTR checks included: the deciders read
+///    through ConfigView overlays (relational/overlay.h) instead of
 ///    copying the configuration, so they pin only the relations they read
 ///    (plus, under dependent methods, relations with methods — the
-///    witness chase probes Contains() on those).
+///    witness chase probes Contains() on those). Every path decides each
+///    access through one check core (CheckLocked).
 ///  * `ApplyResponse` for relation R takes `state_mu_` shared, `adom_mu_`
 ///    shared — exclusive only when the response introduces values new to
 ///    the active domain — and stripe(R) exclusive. Applies to different
@@ -311,6 +320,37 @@ class RelevanceEngine {
   std::vector<CheckOutcome> CheckMany(const std::vector<CheckRequest>& requests,
                                       bool parallel = false);
 
+  /// Outcome of FirstRelevant.
+  struct ScanOutcome {
+    /// Index (into the scanned accesses) of the first relevant access; -1
+    /// when none is.
+    int index = -1;
+    /// The query's certainty as the scan's checks read it; unset when no
+    /// check reached the certainty test (no access passed the filter, or
+    /// none was well-formed).
+    std::optional<bool> certain;
+  };
+
+  /// Scans `accesses[0, count)` in order for the first access whose
+  /// method `applicable` admits and that is relevant for `kind` (an
+  /// out-of-scope LTR verdict counts as `conservative_on_unknown`; an
+  /// access with an unknown method is never admitted). Verdicts and
+  /// per-check counters are exactly those of calling CheckImmediate /
+  /// CheckLongTerm on each admitted access in turn until one is relevant;
+  /// but the scan takes the check locks once and derives the query's
+  /// certainty, seeded view and each accessed relation's cache stamp
+  /// once, so `overlapped_checks` and `certainty_reuse` count per scan.
+  /// It pins the query's relations, the relation of each admitted method
+  /// (never the others — a pending frontier spans every relation), and,
+  /// for LTR under dependent methods, every method relation. `applicable`
+  /// runs once per method, before any lock is taken, so the set-up does
+  /// not grow with `count`. The stream registry rechecks each binding
+  /// through this call.
+  ScanOutcome FirstRelevant(
+      QueryId id, CheckKind kind, const Access* accesses, size_t count,
+      const std::function<bool(AccessMethodId)>& applicable,
+      bool conservative_on_unknown);
+
   /// Pending candidate accesses ranked for the query: cached-relevant
   /// first, then unknown (criticality-boosted when the accessed relation
   /// occurs in the query), cached-irrelevant last. The frontier is kept in
@@ -400,12 +440,16 @@ class RelevanceEngine {
   /// RAII gauge for the overlap counters.
   class ActivityScope;
 
-  /// A borrowed span of accesses (avoids materialising a vector for the
-  /// single-access check paths).
-  struct AccessSpan {
-    const Access* data;
-    size_t size;
-  };
+  /// The check locks, in lock order: the activity gauge, state_mu_ and
+  /// adom_mu_ shared, then (PinStripes) the stripes of a lock footprint.
+  class CheckLocks;
+
+  /// What a run of checks for one (query, kind) derives once per
+  /// acquisition of the check locks: the query's certainty, its seeded
+  /// view and each accessed relation's footprint and cache stamp. All
+  /// three stay fixed while the locks are held — the stripes pin the
+  /// footprint relations and adom_mu_ pins the active domain.
+  class CheckScope;
 
   /// Stripe index of one relation.
   size_t StripeOf(RelationId rel) const { return rel % stripe_count_; }
@@ -413,12 +457,22 @@ class RelevanceEngine {
   /// Sorted unique stripe indices covering a footprint's relations.
   std::vector<size_t> StripesFor(const RelationFootprint& fp) const;
 
-  /// The stripes a check must hold shared: the footprint's relations plus,
-  /// for LTR under dependent methods, every relation with a method (the
-  /// witness chase probes Contains() on them). Never all stripes: the
-  /// deciders read through overlay views and copy nothing.
-  std::vector<size_t> StripesForCheck(QueryId id, CheckKind kind,
-                                      AccessSpan accesses) const;
+  /// The lock footprint of a check before its accessed relations are
+  /// added (AddAccessed): the query's relations plus, for LTR under
+  /// dependent methods, every relation with a method (the witness chase
+  /// probes Contains() on them). Never all relations: the deciders read
+  /// through overlay views and copy nothing. Caller holds state_mu_.
+  RelationFootprint LockFootprint(QueryId id, CheckKind kind) const;
+
+  /// Adds the relation `access` reads to a lock footprint.
+  void AddAccessed(const Access& access, RelationFootprint* fp) const {
+    if (access.method < acs_.size()) {
+      fp->Add(acs_.method(access.method).relation);
+    }
+  }
+
+  /// CheckImmediate / CheckLongTerm: one access under its own locks.
+  CheckOutcome CheckOne(QueryId id, CheckKind kind, const Access& access);
 
   /// Acquires the given stripes shared, in ascending order.
   std::vector<std::shared_lock<std::shared_mutex>> LockStripesShared(
@@ -454,8 +508,10 @@ class RelevanceEngine {
   const ConfigView& SeededViewLocked(const QueryState& qs,
                                      OverlayConfiguration* overlay) const;
 
-  /// Decides one check under already-held state/adom/stripe locks.
-  CheckOutcome CheckLocked(QueryId id, CheckKind kind, const Access& access);
+  /// The one check core: decides one access under already-held check
+  /// locks (cache probe, decider, insert), reading and filling `scope`'s
+  /// per-acquisition state. Every check path runs through it.
+  CheckOutcome CheckLocked(CheckScope* scope, const Access& access);
 
   /// Certainty with per-stamp memoization; takes certainty_mu_. Caller
   /// holds the query-footprint stripes (at least shared).

@@ -240,8 +240,11 @@ class ConfigView {
   /// Active-domain values of one domain, first-seen order (base first).
   virtual ValueSeq AdomOfDomain(DomainId domain) const = 0;
 
-  /// The full typed active domain, sorted (materialized; used by the
-  /// reachability fixpoints which consume it once per call).
+  /// The full typed active domain, sorted. Copied and sorted on every call
+  /// (O(|Adom| log |Adom|)), so hot loops must not call it: reachability
+  /// probes AdomContains, and the witness search reads AdomOfDomain once
+  /// per search. Used by whole-view conversions (materialization, config
+  /// folding, the containment-to-LTR transform) and ProducibleDomains.
   virtual std::vector<TypedValue> AdomEntries() const = 0;
 
   /// Every fact, relation-major (materialized convenience).

@@ -11,93 +11,132 @@ namespace {
 // Backtracking search for a witnessing assignment of one disjunct: every
 // atom must be matched against Conf or against the access's virtual
 // response relation (relation == Rel(AcM), inputs == Bind).
+//
+// Candidate facts come from the (position, value) index on the atom's
+// first bound position — a constant, or a variable an earlier atom
+// assigned — so a binding query with its head constants substituted reads
+// only the facts that carry them. Bindings are undone through one trail;
+// the search allocates nothing per candidate.
 class IrSearch {
  public:
-  IrSearch(const ConfigView& conf, const AccessMethodSet& acs,
-           const Access& access, const ConjunctiveQuery& d)
-      : conf_(conf), acs_(acs), access_(access), d_(d),
-        method_(acs.method(access.method)),
-        assignment_(d.num_vars()), assigned_(d.num_vars(), false) {}
+  IrSearch(const ConfigView& conf, const AccessMethod& method,
+           const Access& access)
+      : conf_(conf), method_(method), access_(access) {}
 
-  bool Run() { return Rec(0); }
+  bool Run(const ConjunctiveQuery& d) {
+    d_ = &d;
+    assignment_.assign(d.num_vars(), Value());
+    assigned_.assign(d.num_vars(), 0);
+    trail_.clear();
+    trail_.reserve(d.num_vars());
+    return Rec(0);
+  }
 
  private:
   bool Rec(size_t atom_idx) {
-    if (atom_idx == d_.atoms.size()) return true;
-    const Atom& atom = d_.atoms[atom_idx];
+    if (atom_idx == d_->atoms.size()) return true;
+    const Atom& atom = d_->atoms[atom_idx];
+    const size_t mark = trail_.size();
 
     // Option (a): witness the atom with a configuration fact.
-    for (const Fact& fact : conf_.FactsOf(atom.relation)) {
-      std::vector<VarId> bound;
-      if (UnifyAgainstFact(atom, fact, &bound)) {
-        if (Rec(atom_idx + 1)) return true;
+    const FactSeq facts = conf_.FactsOf(atom.relation);
+    int pos = 0;
+    Value bound;
+    if (FirstBound(atom, &pos, &bound)) {
+      for (size_t idx : conf_.FactsWith(atom.relation, pos, bound)) {
+        if (UnifyAgainstFact(atom, facts[idx]) && Rec(atom_idx + 1)) {
+          return true;
+        }
+        Undo(mark);
       }
-      for (VarId v : bound) assigned_[v] = false;
+    } else {
+      for (const Fact& fact : facts) {
+        if (UnifyAgainstFact(atom, fact) && Rec(atom_idx + 1)) return true;
+        Undo(mark);
+      }
     }
 
     // Option (b): witness it with the access — relation must match and the
     // input positions must unify with the binding; output positions are
     // unconstrained (the response may contain anything there).
     if (atom.relation == method_.relation) {
-      std::vector<VarId> bound;
       bool ok = true;
       for (int i = 0; i < method_.num_inputs() && ok; ++i) {
-        const Term& t = atom.terms[method_.input_positions[i]];
-        const Value& b = access_.binding[i];
-        if (t.is_const()) {
-          ok = (t.constant == b);
-        } else if (assigned_[t.var]) {
-          ok = (assignment_[t.var] == b);
-        } else {
-          assignment_[t.var] = b;
-          assigned_[t.var] = true;
-          bound.push_back(t.var);
-        }
+        ok = Unify(atom.terms[method_.input_positions[i]],
+                   access_.binding[i]);
       }
       if (ok && Rec(atom_idx + 1)) return true;
-      for (VarId v : bound) assigned_[v] = false;
+      Undo(mark);
     }
     return false;
   }
 
-  bool UnifyAgainstFact(const Atom& atom, const Fact& fact,
-                        std::vector<VarId>* bound) {
-    for (int pos = 0; pos < atom.arity(); ++pos) {
-      const Term& t = atom.terms[pos];
+  // The first position of `atom` whose value is already fixed.
+  bool FirstBound(const Atom& atom, int* pos, Value* value) const {
+    for (int p = 0; p < atom.arity(); ++p) {
+      const Term& t = atom.terms[p];
       if (t.is_const()) {
-        if (t.constant != fact.values[pos]) return false;
+        *value = t.constant;
       } else if (assigned_[t.var]) {
-        if (assignment_[t.var] != fact.values[pos]) return false;
+        *value = assignment_[t.var];
       } else {
-        assignment_[t.var] = fact.values[pos];
-        assigned_[t.var] = true;
-        bound->push_back(t.var);
+        continue;
       }
+      *pos = p;
+      return true;
+    }
+    return false;
+  }
+
+  bool Unify(const Term& t, const Value& v) {
+    if (t.is_const()) return t.constant == v;
+    if (assigned_[t.var]) return assignment_[t.var] == v;
+    assignment_[t.var] = v;
+    assigned_[t.var] = 1;
+    trail_.push_back(t.var);
+    return true;
+  }
+
+  bool UnifyAgainstFact(const Atom& atom, const Fact& fact) {
+    for (int pos = 0; pos < atom.arity(); ++pos) {
+      if (!Unify(atom.terms[pos], fact.values[pos])) return false;
     }
     return true;
   }
 
+  void Undo(size_t mark) {
+    while (trail_.size() > mark) {
+      assigned_[trail_.back()] = 0;
+      trail_.pop_back();
+    }
+  }
+
   const ConfigView& conf_;
-  const AccessMethodSet& acs_;
-  const Access& access_;
-  const ConjunctiveQuery& d_;
   const AccessMethod& method_;
+  const Access& access_;
+  const ConjunctiveQuery* d_ = nullptr;
   std::vector<Value> assignment_;
-  std::vector<bool> assigned_;
+  std::vector<char> assigned_;
+  std::vector<VarId> trail_;  ///< variables bound, in binding order
 };
 
 }  // namespace
+
+bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
+                         const Access& access, const UnionQuery& query) {
+  IrSearch search(conf, acs.method(access.method), access);
+  for (const ConjunctiveQuery& d : query.disjuncts) {
+    if (search.Run(d)) return true;
+  }
+  return false;
+}
 
 bool IsImmediatelyRelevant(const ConfigView& conf,
                            const AccessMethodSet& acs, const Access& access,
                            const UnionQuery& query) {
   if (!CheckWellFormed(conf, acs, access).ok()) return false;
   if (EvalBool(query, conf)) return false;  // already certain
-  for (const ConjunctiveQuery& d : query.disjuncts) {
-    IrSearch search(conf, acs, access, d);
-    if (search.Run()) return true;
-  }
-  return false;
+  return HasImmediateWitness(conf, acs, access, query);
 }
 
 }  // namespace rar

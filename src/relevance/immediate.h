@@ -29,6 +29,14 @@ bool IsImmediatelyRelevant(const ConfigView& conf,
                            const AccessMethodSet& acs, const Access& access,
                            const UnionQuery& query);
 
+/// The search step of IsImmediatelyRelevant alone: true when some disjunct
+/// has an assignment witnessed by `conf` plus the access. Only meaningful
+/// when `access` is well-formed at `conf` and `query` is not certain there;
+/// the caller must already know both (the RelevanceEngine establishes them
+/// under its check locks before it calls this).
+bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
+                         const Access& access, const UnionQuery& query);
+
 }  // namespace rar
 
 #endif  // RAR_RELEVANCE_IMMEDIATE_H_

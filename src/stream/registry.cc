@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -10,16 +11,16 @@ namespace rar {
 
 namespace {
 
-// Whether a `kind` check of `access` can matter for a binding with
-// footprint `fp`: an IR verdict can only come from an access over the
-// binding's own relations (response facts elsewhere never change Q_b);
-// same for LTR under an all-independent method set, while dependent LTR
-// may chain through any method relation. Shared by the wave's witness
+// Whether a `kind` check of an access through `method` can matter for a
+// binding with footprint `fp`: an IR verdict can only come from an access
+// over the binding's own relations (response facts elsewhere never change
+// Q_b); same for LTR under an all-independent method set, while dependent
+// LTR may chain through any method relation. Shared by the wave's witness
 // batch and the full scan — the two must never diverge.
 bool CheckApplicable(const AccessMethodSet& acs, const RelationFootprint& fp,
-                     CheckKind kind, const Access& access) {
-  if (access.method >= acs.size()) return false;
-  const RelationId rel = acs.method(access.method).relation;
+                     CheckKind kind, AccessMethodId method) {
+  if (method >= acs.size()) return false;
+  const RelationId rel = acs.method(method).relation;
   if (kind == CheckKind::kImmediate) return fp.Contains(rel);
   return !acs.AllIndependent() || fp.Contains(rel);
 }
@@ -666,23 +667,22 @@ std::vector<StreamEvent> RelevanceStreamRegistry::EvalBinding(
   const AccessMethodSet& acs = engine_->access_methods();
   const bool was_relevant = b.relevant;
 
-  // A certain Q_b answers every check "irrelevant" (the engine's sticky
-  // short-circuit), so the scans need no certainty pre-gate — and a
-  // relevant access *implies* not-certain, which skips the explicit
-  // certainty probe for the common live binding.
-  auto ir_relevant = [&](const Access& a) {
-    if (!CheckApplicable(acs, b.footprint, CheckKind::kImmediate, a)) {
-      return false;
-    }
-    return OutcomeRelevant(s.options, CheckKind::kImmediate,
-                           engine_->CheckImmediate(b.qid, a));
-  };
-  auto ltr_relevant = [&](const Access& a) {
-    if (!CheckApplicable(acs, b.footprint, CheckKind::kLongTerm, a)) {
-      return false;
-    }
-    return OutcomeRelevant(s.options, CheckKind::kLongTerm,
-                           engine_->CheckLongTerm(b.qid, a));
+  // Each probe is one engine scan: the first applicable access of a list
+  // that is relevant for one kind, under one acquisition of the check
+  // locks. A certain Q_b answers every check "irrelevant" (the engine's
+  // sticky short-circuit), so the scans need no certainty pre-gate; a
+  // relevant access *implies* not-certain, and an irrelevant binding
+  // reuses the certainty its last scan read.
+  std::optional<bool> certain;
+  auto scan = [&](CheckKind kind, const Access* accesses, size_t count) {
+    RelevanceEngine::ScanOutcome r = engine_->FirstRelevant(
+        b.qid, kind, accesses, count,
+        [&](AccessMethodId m) {
+          return CheckApplicable(acs, b.footprint, kind, m);
+        },
+        s.options.conservative_on_unknown);
+    if (r.certain.has_value()) certain = r.certain;
+    return r.index;
   };
   bool relevant = false;
   Access witness;
@@ -690,33 +690,29 @@ std::vector<StreamEvent> RelevanceStreamRegistry::EvalBinding(
   // Witness-first: the access that made the binding relevant last time
   // usually still does, turning steady-state rechecks into one probe.
   if (b.has_witness && !engine_->WasPerformed(b.witness) &&
-      ((s.options.use_immediate && ir_relevant(b.witness)) ||
-       (s.options.use_long_term && ltr_relevant(b.witness)))) {
+      ((s.options.use_immediate &&
+        scan(CheckKind::kImmediate, &b.witness, 1) >= 0) ||
+       (s.options.use_long_term &&
+        scan(CheckKind::kLongTerm, &b.witness, 1) >= 0))) {
     relevant = true;
     witness = b.witness;
     has_witness = true;
   }
+  auto scan_pending = [&](CheckKind kind) {
+    const int index = scan(kind, pending.data(), pending.size());
+    if (index < 0) return;
+    relevant = true;
+    witness = pending[index];
+    has_witness = true;
+  };
   if (!relevant && s.options.use_immediate) {
-    for (const Access& a : pending) {
-      if (ir_relevant(a)) {
-        relevant = true;
-        witness = a;
-        has_witness = true;
-        break;
-      }
-    }
+    scan_pending(CheckKind::kImmediate);
   }
   if (!relevant && s.options.use_long_term) {
-    for (const Access& a : pending) {
-      if (ltr_relevant(a)) {
-        relevant = true;
-        witness = a;
-        has_witness = true;
-        break;
-      }
-    }
+    scan_pending(CheckKind::kLongTerm);
   }
-  const bool certain = relevant ? false : engine_->IsCertain(b.qid);
+  const bool is_certain =
+      !relevant && (certain.has_value() ? *certain : engine_->IsCertain(b.qid));
 
   b.stamp = std::move(stamp);
   b.evaluated = true;
@@ -727,11 +723,11 @@ std::vector<StreamEvent> RelevanceStreamRegistry::EvalBinding(
     e.binding = b.tuple;
     events.push_back(std::move(e));
   };
-  if (certain && !b.certain) {
+  if (is_certain && !b.certain) {
     b.certain = true;
     emit(StreamEventKind::kBecameCertain);
   }
-  const bool now_relevant = !certain && relevant;
+  const bool now_relevant = !is_certain && relevant;
   if (now_relevant && !was_relevant) emit(StreamEventKind::kBecameRelevant);
   if (!now_relevant && was_relevant) emit(StreamEventKind::kBecameIrrelevant);
   b.relevant = now_relevant;
@@ -1320,7 +1316,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   for (size_t j = 0; j < stale.size(); ++j) {
     const BindingState& b = s.bindings[stale[j]];
     if (!b.has_witness || !b.relevant) continue;
-    if (!CheckApplicable(acs, b.footprint, witness_kind, b.witness) ||
+    if (!CheckApplicable(acs, b.footprint, witness_kind, b.witness.method) ||
         engine_->WasPerformed(b.witness)) {
       continue;
     }

@@ -59,11 +59,13 @@
 //     bindings keep their monotone witnesses and are restamped across the
 //     event's per-domain version brackets.
 //
-// Re-evaluation piggybacks on the engine: `IsCertain` / `CheckImmediate` /
-// `CheckLongTerm` run under the engine's striped locks and decision cache
-// (binding queries are ordinary engine queries), and waves above
-// `StreamOptions::parallel_threshold` fan out over the engine's worker
-// pool. Active-domain growth delta-enumerates exactly the new head
+// Re-evaluation piggybacks on the engine: a binding's probes are
+// `FirstRelevant` scans (witness IR, witness LTR, pending IR, pending
+// LTR; one acquisition of the engine's striped locks each), the wave's
+// witness fast path is one `CheckMany` batch, and both go through the
+// engine's decision cache (binding queries are ordinary engine queries).
+// Waves above `StreamOptions::parallel_threshold` fan out over the
+// engine's worker pool. Active-domain growth delta-enumerates exactly the new head
 // bindings via HeadInstantiator::ForEachNewBinding.
 //
 // Sharing: a relevance verdict depends only on the query and the
@@ -328,12 +330,13 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// waves of one apply across many streams share one fetch).
   std::shared_ptr<const std::vector<Access>> PendingSnapshot();
 
-  /// Re-evaluates one binding against the engine; `stamp` is the registry
-  /// stamp built *before* the engine reads (the staleness test's stamp is
-  /// reused — a response landing mid-evaluation leaves it stale, and the
-  /// next wave repairs the binding). Returns the events the transition
-  /// produced (sequence numbers unassigned). Safe to run concurrently for
-  /// distinct bindings of one stream.
+  /// Re-evaluates one binding against the engine, one FirstRelevant scan
+  /// per probe; `stamp` is the registry stamp built *before* the engine
+  /// reads (the staleness test's stamp is reused — a response landing
+  /// mid-evaluation leaves it stale, and the next wave repairs the
+  /// binding). Returns the events the transition produced (sequence
+  /// numbers unassigned). Safe to run concurrently for distinct bindings
+  /// of one stream.
   std::vector<StreamEvent> EvalBinding(StreamState& s, BindingState& b,
                                        const std::vector<Access>& pending,
                                        VersionStamp stamp);

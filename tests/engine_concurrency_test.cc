@@ -286,6 +286,149 @@ TEST(EngineConcurrencyTest, LtrChecksOverlapFootprintDisjointApplies) {
   }
 }
 
+// Per-binding scans under concurrency: FirstRelevant pins the query's
+// relations plus the relations of the methods its filter admits, never
+// the whole pending list. IR scans run over a list mixing accesses of the
+// query's relations with accesses of a foreign relation (filtered out,
+// as the stream registry's applicability filter does) while another
+// thread applies to that foreign relation. Load-bearing assertions: the
+// applies overlap the scans (counters), every scan returns the index a
+// sequential scan returns before any apply (foreign growth cannot move an
+// IR verdict), the quiesced scans agree with the per-access loop, and the
+// run is race-free — the TSan CI job builds this test.
+TEST(EngineConcurrencyTest, BindingScansOverlapFootprintDisjointApplies) {
+  auto schema = std::make_shared<Schema>();
+  DomainId d0 = schema->AddDomain("D0");
+  DomainId d1 = schema->AddDomain("D1");
+  RelationId a0 = *schema->AddRelation("A0", {{"x", d0}, {"y", d0}});
+  RelationId b0 = *schema->AddRelation("B0", {{"x", d0}, {"y", d0}});
+  RelationId a1 = *schema->AddRelation("A1", {{"x", d1}, {"y", d1}});
+  AccessMethodSet acs(schema.get());
+  (void)*acs.Add("a0", a0, {0}, /*dependent=*/true);
+  (void)*acs.Add("b0", b0, {0}, /*dependent=*/true);
+  AccessMethodId ma1 = *acs.Add("a1", a1, {0}, /*dependent=*/true);
+
+  Configuration conf(schema.get());
+  std::vector<Value> c0s, c1s;
+  for (int i = 0; i < 4; ++i) {
+    c0s.push_back(schema->InternConstant("c0_" + std::to_string(i)));
+    conf.AddSeedConstant(c0s.back(), d0);
+    c1s.push_back(schema->InternConstant("c1_" + std::to_string(i)));
+    conf.AddSeedConstant(c1s.back(), d1);
+  }
+  conf.AddFact(Fact(a0, {c0s[0], c0s[1]}));
+  conf.AddFact(Fact(b0, {c0s[2], c0s[3]}));
+
+  // Binding-query shapes over {A0, B0}: Q0 = A0(c0_0, y) ∧ B0(y, z)
+  // (relevant: b0(c0_1) completes it), Q1 = A0(c0_2, y) ∧ B0(y, c0_0)
+  // (irrelevant, not certain) and Q2 = B0(c0_2, z) (certain).
+  auto boolean_query = [&](std::vector<Atom> atoms, int num_vars) {
+    ConjunctiveQuery q;
+    for (int v = 0; v < num_vars; ++v) q.AddVar("V" + std::to_string(v), d0);
+    q.atoms = std::move(atoms);
+    UnionQuery uq;
+    uq.disjuncts.push_back(std::move(q));
+    return uq;
+  };
+  const Term v0 = Term::MakeVar(0);
+  const Term v1 = Term::MakeVar(1);
+  auto c = [&](int i) { return Term::MakeConst(c0s[i]); };
+  std::vector<UnionQuery> queries = {
+      boolean_query({Atom{a0, {c(0), v0}}, Atom{b0, {v0, v1}}}, 2),
+      boolean_query({Atom{a0, {c(2), v0}}, Atom{b0, {v0, c(0)}}}, 1),
+      boolean_query({Atom{b0, {c(2), v0}}}, 1)};
+
+  RelevanceEngine engine(*schema, acs, conf);
+  std::vector<QueryId> qids;
+  for (UnionQuery& q : queries) {
+    ASSERT_TRUE(q.Validate(*schema).ok());
+    qids.push_back(*engine.RegisterQuery(q));
+  }
+  // The frontier: a0/b0 accesses over D0 values and a1 accesses over D1
+  // values, interleaved by discovery order.
+  const std::vector<Access> pending = engine.PendingAccesses();
+  auto in_footprint = [&](AccessMethodId m) {
+    const RelationId rel = acs.method(m).relation;
+    return rel == a0 || rel == b0;
+  };
+  ASSERT_TRUE(std::any_of(
+      pending.begin(), pending.end(),
+      [&](const Access& a) { return !in_footprint(a.method); }));
+  std::vector<int> expected;
+  for (QueryId qid : qids) {
+    expected.push_back(engine
+                           .FirstRelevant(qid, CheckKind::kImmediate,
+                                          pending.data(), pending.size(),
+                                          in_footprint, true)
+                           .index);
+  }
+  ASSERT_GE(expected[0], 0);
+  ASSERT_EQ(expected[1], -1);
+  ASSERT_EQ(expected[2], -1);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<long> scans_done{0};
+  std::vector<std::thread> scanners;
+  for (int t = 0; t < 2; ++t) {
+    scanners.emplace_back([&]() {
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (size_t q = 0; q < qids.size(); ++q) {
+          RelevanceEngine::ScanOutcome r = engine.FirstRelevant(
+              qids[q], CheckKind::kImmediate, pending.data(), pending.size(),
+              in_footprint, true);
+          if (r.index != expected[q]) mismatches.fetch_add(1);
+        }
+        scans_done.fetch_add(1);
+      }
+    });
+  }
+  while (scans_done.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+  // Foreign applies over existing values (the active domain stays put, so
+  // the applies need only A1's stripe and the shared Adom lock).
+  std::atomic<int> apply_errors{0};
+  for (int round = 0; round < 5000; ++round) {
+    for (int i = 0; i < 4; ++i) {
+      Access acc{ma1, {c1s[i]}};
+      if (!engine.ApplyResponse(acc, {Fact(a1, {c1s[i], c1s[(i + 1) % 4]})})
+               .ok()) {
+        apply_errors.fetch_add(1);
+      }
+    }
+    if (engine.stats().overlapped_applies > 0 && round >= 50) break;
+  }
+  stop.store(true);
+  for (std::thread& t : scanners) t.join();
+  ASSERT_EQ(apply_errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0)
+      << "foreign applies must not move an IR scan's verdict";
+
+  EngineStats st = engine.stats();
+  EXPECT_GT(st.ir_checks, 0u);
+  EXPECT_GT(st.overlapped_applies + st.overlapped_checks, 0u)
+      << "binding scans must overlap footprint-disjoint applies";
+
+  // Quiesced: each scan agrees with the per-access loop it replaces.
+  for (size_t q = 0; q < qids.size(); ++q) {
+    int loop_index = -1;
+    for (size_t i = 0; i < pending.size() && loop_index < 0; ++i) {
+      if (in_footprint(pending[i].method) &&
+          engine.CheckImmediate(qids[q], pending[i]).relevant) {
+        loop_index = static_cast<int>(i);
+      }
+    }
+    EXPECT_EQ(loop_index, expected[q]);
+    EXPECT_EQ(engine
+                  .FirstRelevant(qids[q], CheckKind::kImmediate,
+                                 pending.data(), pending.size(), in_footprint,
+                                 true)
+                  .index,
+              expected[q]);
+  }
+}
+
 // Standing-stream maintenance under concurrency: recheck waves (triggered
 // by hit-relation applies on one thread) overlap footprint-disjoint
 // applies and snapshot readers on others. Load-bearing assertions: the

@@ -595,6 +595,169 @@ TEST(RelevanceEngineTest, BatchAgreesWithSequentialAcrossThreads) {
   EXPECT_GE(stats.cache_hits, batch.size());
 }
 
+// ----------------------------------------------------------------- scans
+
+// FirstRelevant against the per-access loop it replaces: on random pending
+// lists and filters, two engines fed the same responses — one scanning,
+// one looping over CheckImmediate / CheckLongTerm until a relevant access
+// — must pick the same index and leave every per-check counter equal. The
+// scenario covers ill-formed accesses (a binding outside the active
+// domain), a query certain from the start, and out-of-scope LTR verdicts
+// (Label's output domain Tag feeds no dependent method, so the truncation
+// cannot be cut), under both values of conservative_on_unknown.
+TEST(RelevanceEngineTest, FirstRelevantEqualsPerAccessLoop) {
+  auto schema = std::make_shared<Schema>();
+  const DomainId item = schema->AddDomain("Item");
+  const DomainId seller = schema->AddDomain("Seller");
+  const DomainId tag = schema->AddDomain("Tag");
+  const RelationId listing =
+      *schema->AddRelation("Listing", {{"item", item}, {"seller", seller}});
+  const RelationId vetted = *schema->AddRelation("Vetted", {{"s", seller}});
+  const RelationId supplies =
+      *schema->AddRelation("Supplies", {{"seller", seller}, {"item", item}});
+  const RelationId label =
+      *schema->AddRelation("Label", {{"item", item}, {"tag", tag}});
+  AccessMethodSet acs(schema.get());
+  const AccessMethodId m_listing = *acs.Add("listing", listing, {0}, true);
+  (void)*acs.Add("vetted", vetted, {0}, true);
+  (void)*acs.Add("supplies", supplies, {0}, true);
+  (void)*acs.Add("label", label, {0}, true);
+
+  std::vector<Value> items, sellers, tags;
+  for (int i = 0; i < 12; ++i) {
+    items.push_back(schema->InternConstant("i" + std::to_string(i)));
+    sellers.push_back(schema->InternConstant("s" + std::to_string(i)));
+    tags.push_back(schema->InternConstant("t" + std::to_string(i % 3)));
+  }
+  Configuration hidden(schema.get());
+  for (int i = 0; i < 12; ++i) {
+    hidden.AddFact(Fact(listing, {items[i], sellers[(i * 5) % 12]}));
+    hidden.AddFact(Fact(label, {items[i], tags[i]}));
+    if (i % 2 == 0) hidden.AddFact(Fact(vetted, {sellers[i]}));
+    if (i >= 2) hidden.AddFact(Fact(supplies, {sellers[i - 2], items[i]}));
+  }
+  Configuration conf(schema.get());
+  conf.AddFact(Fact(listing, {items[0], sellers[0]}));
+  conf.AddFact(Fact(listing, {items[1], sellers[3]}));
+
+  auto var = [](VarId v) { return Term::MakeVar(v); };
+  auto constant = [](Value c) { return Term::MakeConst(c); };
+  std::vector<UnionQuery> queries;
+  auto add_query = [&](std::vector<Atom> atoms, int num_vars,
+                       std::vector<DomainId> domains) {
+    ConjunctiveQuery cq;
+    for (int v = 0; v < num_vars; ++v) {
+      cq.AddVar("V" + std::to_string(v), domains[v]);
+    }
+    cq.atoms = std::move(atoms);
+    ASSERT_TRUE(cq.Validate(*schema).ok());
+    UnionQuery uq;
+    uq.disjuncts.push_back(std::move(cq));
+    queries.push_back(std::move(uq));
+  };
+  // Binding-query shapes: a bound item, a bound seller, a Label chain
+  // (out-of-scope LTR), and a query certain at the start.
+  add_query({Atom{listing, {constant(items[4]), var(0)}},
+             Atom{vetted, {var(0)}}},
+            1, {seller});
+  add_query({Atom{supplies, {constant(sellers[2]), var(0)}},
+             Atom{listing, {var(0), var(1)}}},
+            2, {item, seller});
+  add_query({Atom{supplies, {var(0), var(1)}},
+             Atom{label, {var(1), var(2)}}},
+            3, {seller, item, tag});
+  add_query({Atom{listing, {constant(items[0]), var(0)}}}, 1, {seller});
+
+  RelevanceEngine looping(*schema, acs, conf);
+  RelevanceEngine scanning(*schema, acs, conf);
+  std::vector<QueryId> qids;
+  for (const UnionQuery& q : queries) {
+    qids.push_back(*looping.RegisterQuery(q));
+    ASSERT_EQ(*scanning.RegisterQuery(q), qids.back());
+  }
+  ASSERT_TRUE(looping.IsCertain(qids[3]));
+  // Interned but never in the active domain: accesses bound to it are
+  // ill-formed.
+  const Value unknown = schema->InternConstant("nowhere");
+
+  Rng rng(77);
+  int relevant_found = 0;
+  int out_of_scope_seen = 0;
+  for (int round = 0; round < 60; ++round) {
+    std::vector<Access> pending = looping.PendingAccesses();
+    ASSERT_EQ(pending.size(), scanning.PendingAccesses().size());
+    if (pending.empty()) break;
+    for (int probe = 0; probe < 4; ++probe) {
+      std::vector<Access> list;
+      for (const Access& a : pending) {
+        if (rng.Chance(0.7)) list.push_back(a);
+      }
+      list.insert(list.begin() + rng.Below(list.size() + 1),
+                  Access{m_listing, {unknown}});
+      for (size_t i = list.size(); i > 1; --i) {
+        std::swap(list[i - 1], list[rng.Below(i)]);
+      }
+      const size_t q = rng.Below(qids.size());
+      const CheckKind kind =
+          rng.Chance(0.5) ? CheckKind::kImmediate : CheckKind::kLongTerm;
+      const bool conservative = rng.Chance(0.5);
+      const uint32_t mask = static_cast<uint32_t>(rng.Range(1, 15));
+      auto applicable = [&](AccessMethodId m) {
+        return ((mask >> acs.method(m).relation) & 1u) != 0;
+      };
+
+      int loop_index = -1;
+      for (size_t i = 0; i < list.size() && loop_index < 0; ++i) {
+        if (!applicable(list[i].method)) continue;
+        CheckOutcome out = kind == CheckKind::kImmediate
+                               ? looping.CheckImmediate(qids[q], list[i])
+                               : looping.CheckLongTerm(qids[q], list[i]);
+        if (!out.ok()) ++out_of_scope_seen;
+        const bool relevant = out.ok() ? out.relevant
+                                       : kind == CheckKind::kLongTerm &&
+                                             conservative;
+        if (relevant) loop_index = static_cast<int>(i);
+      }
+      RelevanceEngine::ScanOutcome scan = scanning.FirstRelevant(
+          qids[q], kind, list.data(), list.size(), applicable, conservative);
+      ASSERT_EQ(scan.index, loop_index) << "round " << round;
+      if (scan.certain.has_value()) {
+        EXPECT_EQ(*scan.certain, looping.IsCertain(qids[q]));
+        EXPECT_EQ(*scan.certain, scanning.IsCertain(qids[q]));
+      }
+      if (loop_index >= 0) ++relevant_found;
+
+      const EngineStats a = looping.stats();
+      const EngineStats b = scanning.stats();
+      EXPECT_EQ(a.ir_checks, b.ir_checks) << "round " << round;
+      EXPECT_EQ(a.ltr_checks, b.ltr_checks) << "round " << round;
+      EXPECT_EQ(a.cache_hits, b.cache_hits) << "round " << round;
+      EXPECT_EQ(a.cache_misses, b.cache_misses) << "round " << round;
+      EXPECT_EQ(a.sticky_hits, b.sticky_hits) << "round " << round;
+      EXPECT_EQ(a.uncached_ir_checks, b.uncached_ir_checks);
+      EXPECT_EQ(a.uncached_ltr_checks, b.uncached_ltr_checks);
+      EXPECT_EQ(a.wf_rejections, b.wf_rejections) << "round " << round;
+    }
+
+    // Grow both engines alike: answer a random pending access from the
+    // hidden instance.
+    const Access& step = rng.Pick(pending);
+    std::vector<Fact> response;
+    const AccessMethod& m = acs.method(step.method);
+    for (const Fact& f : hidden.FactsOf(m.relation)) {
+      if (f.values[m.input_positions[0]] == step.binding[0]) {
+        response.push_back(f);
+      }
+    }
+    ASSERT_TRUE(looping.ApplyResponse(step, response).ok());
+    ASSERT_TRUE(scanning.ApplyResponse(step, response).ok());
+  }
+  EXPECT_GT(relevant_found, 0);
+  EXPECT_GT(out_of_scope_seen, 0);
+  EXPECT_GT(scanning.stats().wf_rejections, 0u);
+  EXPECT_GT(scanning.stats().sticky_hits, 0u);
+}
+
 TEST(RelevanceEngineTest, ProducibleDomainsFixpointIsReusedWithinEpoch) {
   ChainFamily f = MakeChainFamily(3);
   RelevanceEngine engine(*f.scenario.schema, f.scenario.acs, f.scenario.conf);

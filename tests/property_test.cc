@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "containment/access_containment.h"
+#include "engine/engine.h"
 #include "query/containment_classic.h"
 #include "query/eval.h"
 #include "reference/brute_force.h"
+#include "relevance/head_instantiator.h"
 #include "relevance/relevance.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -38,6 +40,177 @@ TEST_P(PropertyTest, IRMatchesBruteForceOnRandomScenarios) {
         << "seed " << GetParam() << " trial " << trial << " query "
         << cq.ToString(*s.schema);
   }
+}
+
+// --- IR on configurations where the (position, value) index decides. ---
+// 24 facts per relation over 10 constants (values repeat), so candidate
+// narrowing on a bound position skips most facts: an index lookup on the
+// wrong position, or a binding not undone on backtrack, changes verdicts
+// here where a 4-fact scenario cannot tell. Three query shapes per access:
+//  (a) random CQs — repeated variables, self-joins, constants in atoms;
+//  (b) binding queries: a random unary-head CQ instantiated at an
+//      active-domain value through HeadInstantiator, so the head constant
+//      is bound from the first atom on (the stream registry's Q_b);
+//  (c) two atoms of the accessed relation carrying the binding at the
+//      input positions, so the access can witness both, joined to a
+//      random third atom.
+// Each (query, access) pair is decided three ways: the one-shot decider,
+// the engine (index-driven search behind its own certainty and
+// well-formedness gates), and the brute-force reference.
+Scenario DenseScenario(Rng* rng) {
+  Scenario s;
+  s.schema = std::make_shared<Schema>();
+  const DomainId d = s.schema->AddDomain("D");
+  s.acs = AccessMethodSet(s.schema.get());
+  for (int arity : {2, 2, 3}) {
+    const RelationId rel = *s.schema->AddRelation(
+        "R" + std::to_string(s.schema->num_relations()),
+        std::vector<DomainId>(arity, d));
+    std::vector<int> inputs;
+    for (int pos = 0; pos < arity; ++pos) {
+      if (rng->Chance(0.5)) inputs.push_back(pos);
+    }
+    // A free ternary access would make the brute-force response universe
+    // (every ternary fact over the constants) too large to enumerate.
+    if (arity == 3 && inputs.empty()) {
+      inputs.push_back(static_cast<int>(rng->Below(3)));
+    }
+    (void)*s.acs.Add("m" + std::to_string(rel), rel, inputs,
+                     /*dependent=*/true);
+  }
+  std::vector<Value> constants;
+  for (int i = 0; i < 10; ++i) {
+    constants.push_back(s.schema->InternConstant("k" + std::to_string(i)));
+  }
+  s.conf = Configuration(s.schema.get());
+  for (RelationId rel = 0; rel < s.schema->num_relations(); ++rel) {
+    while (s.conf.NumFactsOf(rel) < 24) {
+      Fact f;
+      f.relation = rel;
+      for (int pos = 0; pos < s.schema->relation(rel).arity(); ++pos) {
+        f.values.push_back(rng->Pick(constants));
+      }
+      s.conf.AddFact(f);
+    }
+  }
+  return s;
+}
+
+TEST_P(PropertyTest, IndexedIRMatchesBruteForceOnDenseScenarios) {
+  Rng rng(GetParam() * 6151 + 17);
+  Scenario s = DenseScenario(&rng);
+  const Schema& schema = *s.schema;
+  const DomainId d = 0;
+  const std::vector<Value> adom = s.conf.AdomOfDomain(d).ToVector();
+
+  RelevanceEngine engine(schema, s.acs, s.conf);
+  int compared = 0;
+  auto compare = [&](UnionQuery q, const Access& access, const char* shape) {
+    if (q.disjuncts.empty()) return;
+    for (ConjunctiveQuery& cq : q.disjuncts) {
+      if (!cq.Validate(schema).ok()) return;
+    }
+    const bool brute = BruteForceIR(s.conf, s.acs, access, q);
+    EXPECT_EQ(IsImmediatelyRelevant(s.conf, s.acs, access, q), brute)
+        << "seed " << GetParam() << " shape " << shape << " query "
+        << q.disjuncts[0].ToString(schema) << " access "
+        << access.ToString(schema, s.acs);
+    Result<QueryId> qid = engine.RegisterQuery(q);
+    ASSERT_TRUE(qid.ok()) << qid.status().ToString();
+    EXPECT_EQ(engine.CheckImmediate(*qid, access).relevant, brute)
+        << "engine, seed " << GetParam() << " shape " << shape << " query "
+        << q.disjuncts[0].ToString(schema) << " access "
+        << access.ToString(schema, s.acs);
+    ++compared;
+  };
+
+  // An access that can witness a random atom of `cq`: the atom's method,
+  // bound to the atom's constants where it has them and to random
+  // active-domain values elsewhere.
+  auto access_for = [&](const ConjunctiveQuery& cq) {
+    const Atom& atom = rng.Pick(cq.atoms);
+    Access access;
+    access.method = s.acs.MethodsOf(atom.relation)[0];
+    for (int pos : s.acs.method(access.method).input_positions) {
+      const Term& t = atom.terms[pos];
+      access.binding.push_back(t.is_const() ? t.constant : rng.Pick(adom));
+    }
+    return access;
+  };
+
+  for (int trial = 0; trial < 8; ++trial) {
+    Access access;
+    if (!RandomAccess(&rng, s, &access)) continue;
+
+    // (a) random CQ.
+    ConjunctiveQuery cq =
+        RandomQuery(&rng, s, static_cast<int>(rng.Range(2, 3)), 3, 0.25);
+    UnionQuery plain;
+    plain.disjuncts.push_back(cq);
+    compare(plain, access_for(cq), "random");
+
+    // (b) binding query: head on a variable that occurs, bound to an
+    // active-domain value.
+    std::vector<VarId> occurring;
+    for (VarId v = 0; v < cq.num_vars(); ++v) {
+      if (cq.VarOccurs(v)) occurring.push_back(v);
+    }
+    if (!occurring.empty()) {
+      ConjunctiveQuery kary = cq;
+      kary.head = {rng.Pick(occurring)};
+      UnionQuery uq;
+      uq.disjuncts.push_back(kary);
+      HeadInstantiator inst(schema, uq);
+      if (inst.status().ok()) {
+        UnionQuery bound = inst.Instantiate({rng.Pick(adom)});
+        if (!bound.disjuncts.empty()) {
+          compare(bound, access_for(bound.disjuncts[0]), "binding");
+        }
+      }
+    }
+
+    // (c) two atoms the access can witness, plus a random joined atom.
+    const AccessMethod& m = s.acs.method(access.method);
+    const int arity = schema.relation(m.relation).arity();
+    ConjunctiveQuery twin;
+    std::vector<VarId> outputs;  // the twins' output variables
+    auto fresh_var = [&]() {
+      return twin.AddVar("T" + std::to_string(twin.num_vars()), d);
+    };
+    for (int copy = 0; copy < 2; ++copy) {
+      Atom atom;
+      atom.relation = m.relation;
+      for (int pos = 0; pos < arity; ++pos) {
+        int input = -1;
+        for (int i = 0; i < m.num_inputs(); ++i) {
+          if (m.input_positions[i] == pos) input = i;
+        }
+        if (input >= 0) {
+          atom.terms.push_back(Term::MakeConst(access.binding[input]));
+        } else {
+          outputs.push_back(fresh_var());
+          atom.terms.push_back(Term::MakeVar(outputs.back()));
+        }
+      }
+      twin.atoms.push_back(std::move(atom));
+    }
+    const RelationId third =
+        static_cast<RelationId>(rng.Below(schema.num_relations()));
+    Atom join;
+    join.relation = third;
+    for (int pos = 0; pos < schema.relation(third).arity(); ++pos) {
+      // Mostly an output variable of the twins, so the third atom joins
+      // them; otherwise a fresh variable.
+      join.terms.push_back(Term::MakeVar(
+          !outputs.empty() && rng.Chance(0.6) ? rng.Pick(outputs)
+                                              : fresh_var()));
+    }
+    twin.atoms.push_back(std::move(join));
+    UnionQuery twins;
+    twins.disjuncts.push_back(twin);
+    compare(twins, access, "twin");
+  }
+  EXPECT_GT(compared, 8) << "too few valid (query, access) pairs";
 }
 
 // --- Independent LTR against the raw semantics. ---
