@@ -23,6 +23,7 @@ void BM_LtrDependent_ChainLength(benchmark::State& state) {
                      family.scenario.schema->InternConstant("c1")}};
   rar::ContainmentOptions opts;
   opts.max_aux_facts = len + 2;
+  opts.build_witness = false;  // verdict only, as on the engine's check path
   for (auto _ : state) {
     auto ltr = rar::IsLongTermRelevantDependentCQ(
         family.scenario.conf, acs, probe, family.contained.disjuncts[0],
@@ -57,6 +58,7 @@ void BM_LtrDependent_CompatibleSubgoals(benchmark::State& state) {
   rar::Access probe{r_bool, {c0, c1}};
   rar::ContainmentOptions opts;
   opts.max_aux_facts = 3;
+  opts.build_witness = false;  // verdict only, as on the engine's check path
   for (auto _ : state) {
     auto ltr = rar::IsLongTermRelevantDependentCQ(family.scenario.conf, acs,
                                                   probe, q, opts);
@@ -74,6 +76,7 @@ void BM_LtrDependent_GeneralAccessExtension(benchmark::State& state) {
   rar::Access probe{0, {family.scenario.schema->InternConstant("c1")}};
   rar::ContainmentOptions opts;
   opts.max_aux_facts = len + 2;
+  opts.build_witness = false;  // verdict only, as on the engine's check path
   for (auto _ : state) {
     auto ltr = rar::IsLongTermRelevantDependentGeneral(
         family.scenario.conf, family.scenario.acs, probe, family.contained,

@@ -19,11 +19,12 @@
 // a server with a session cap below the offered load, a tight backlog
 // budget, and engine apply admission (max_inflight_applies=1). The three
 // shed layers must all fire: admission rejections (kRetryLater, counted
-// in sessions_shed), hot streams degraded to force_full_recheck mode
-// (streams_degraded — verdict-identical, so the parity gate still
+// in sessions_shed), lagging cursors evicted by the retention cap
+// (cursor_evictions, with the retained backlog held at the cap:
+// backlog_high_water <= max_backlog_events; the parity gate still
 // applies to the survivors), and appliers bounced by the engine
-// (applies_shed) retrying until their script lands. Zero sheds or zero
-// degrades under this configuration is a hard failure.
+// (applies_shed) retrying until their script lands. A layer that does
+// not fire, or a backlog above the cap, is a hard failure.
 //
 // Sweep 3 (bench "server_lossy"): fault-tolerance cost. The same crawl
 // offered twice — once over clean loopback channels, once over seeded
@@ -55,8 +56,8 @@
 //    "request_ns":{"count":...,"p50":...,"p99":...},"poll_ns":{...},
 //    "apply_ns":{...},"parity":true}
 //   {"bench":"server_shed","offered_sessions":...,"admitted":...,
-//    "sessions_shed":...,"streams_degraded":...,"applies_shed":...,
-//    "cursor_evictions":...,"parity":true}
+//    "sessions_shed":...,"applies_shed":...,"cursor_evictions":...,
+//    "backlog_high_water":...,"parity":true}
 //   {"bench":"server_lossy","seed":...,"clean_goodput_per_sec":...,
 //    "lossy_goodput_per_sec":...,"lossy_amplification":...,
 //    "clean_p99_ns":...,"lossy_p99_ns":...,"dedup_hits":...,"parity":true}
@@ -509,7 +510,6 @@ int main(int argc, char** argv) {
         .Field("apply_retries", outcome.retries)
         .Field("sessions_shed", stats.server_sessions_shed)
         .Field("applies_shed", stats.server_applies_shed)
-        .Field("streams_degraded", stats.server_streams_degraded)
         .Field("cursor_evictions", stats.server_cursor_evictions)
         .Field("backlog_high_water", stats.server_backlog_high_water)
         .Field("streams", stats.streams_registered)
@@ -534,18 +534,22 @@ int main(int argc, char** argv) {
     }
     if (std::strcmp(name, "server_shed") == 0) {
       // The overload sweep must actually overload: every shed layer has
-      // to fire or the backpressure machinery is dead code.
+      // to fire or the backpressure machinery is dead code, and the
+      // backlog layer must hold lagging cursors at the retention cap.
       if (stats.server_sessions_shed == 0 ||
-          stats.server_streams_degraded == 0 ||
+          stats.server_cursor_evictions == 0 ||
+          stats.server_backlog_high_water > sopts.max_backlog_events ||
           stats.server_applies_shed == 0) {
-        std::fprintf(stderr,
-                     "server_shed failed: sessions_shed=%llu "
-                     "streams_degraded=%llu applies_shed=%llu (all must be "
-                     "non-zero)\n",
-                     static_cast<unsigned long long>(stats.server_sessions_shed),
-                     static_cast<unsigned long long>(
-                         stats.server_streams_degraded),
-                     static_cast<unsigned long long>(stats.server_applies_shed));
+        std::fprintf(
+            stderr,
+            "server_shed failed: sessions_shed=%llu cursor_evictions=%llu "
+            "backlog_high_water=%llu (cap %llu) applies_shed=%llu (sheds "
+            "and evictions must be non-zero, the backlog within the cap)\n",
+            static_cast<unsigned long long>(stats.server_sessions_shed),
+            static_cast<unsigned long long>(stats.server_cursor_evictions),
+            static_cast<unsigned long long>(stats.server_backlog_high_water),
+            static_cast<unsigned long long>(sopts.max_backlog_events),
+            static_cast<unsigned long long>(stats.server_applies_shed));
         ok = false;
       }
     }
@@ -564,8 +568,8 @@ int main(int argc, char** argv) {
   }
 
   // Sweep 2: overload. Cap sessions below the offered count (half the
-  // offered subscribers bounce), keep per-stream backlogs tiny so hot
-  // streams degrade and slow cursors evict, and bound in-flight applies
+  // offered subscribers bounce), keep per-stream backlogs tiny so slow
+  // cursors evict, and bound in-flight applies
   // at 1 so concurrent appliers hit engine admission. Applier count and
   // rounds get floors: engine-admission collisions need enough writer
   // threads to preempt each other even on small hosts.
@@ -579,7 +583,6 @@ int main(int argc, char** argv) {
         static_cast<uint32_t>(offered / 2 + shed_groups + 1);  // appliers too
     sopts.retry_after_ms = 5;
     sopts.max_backlog_events = 6;
-    sopts.degrade_backlog_events = 2;
     EngineOptions eopts;
     eopts.max_inflight_applies = 1;
     SweepResult r = run_sweep("server_shed", offered, shed_groups,

@@ -60,7 +60,6 @@ int main() {
   ServerOptions sopts;
   sopts.max_sessions = 64;           // admission cap (kRetryLater beyond)
   sopts.max_backlog_events = 1024;   // per-stream retention bound
-  sopts.degrade_backlog_events = 512;
   SessionServer server(&engine, &registry, sopts);
 
   TcpServer tcp(&server);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "query/eval.h"
@@ -20,79 +19,7 @@ int ResolveThreads(int requested) {
   return static_cast<int>(hw);
 }
 
-size_t ResolveStripes(int requested, size_t num_relations) {
-  size_t stripes = requested > 0 ? static_cast<size_t>(requested)
-                                 : std::min<size_t>(num_relations, 64);
-  return std::max<size_t>(stripes, 1);
-}
-
 }  // namespace
-
-std::string EngineStats::ToString() const {
-  std::ostringstream os;
-  os << "checks=" << checks() << " (ir=" << ir_checks << ", ltr=" << ltr_checks
-     << ") cache_hits=" << cache_hits << " misses=" << cache_misses
-     << " hit_rate=" << cache_hit_rate() << " sticky=" << sticky_hits
-     << " cross_epoch=" << cross_epoch_hits
-     << " stale=" << stale_invalidations << " evictions=" << cache_evictions
-     << " certainty_reuse=" << certainty_reuse
-     << " producible_reuse=" << producible_reuse << "/"
-     << (producible_reuse + producible_recomputes)
-     << " epochs=" << epoch_advances << " adom_epochs=" << adom_advances
-     << " facts=" << facts_applied << " overlap=" << overlapped_applies
-     << " applies/" << overlapped_checks << " checks"
-     << " frontier=" << frontier_pending << " pending/"
-     << frontier_performed << " performed";
-  if (!invalidations_by_relation.empty()) {
-    os << " invalidations=[";
-    for (size_t i = 0; i < invalidations_by_relation.size(); ++i) {
-      if (i > 0) os << " ";
-      if (i + 1 == invalidations_by_relation.size()) {
-        os << "adom:";
-      } else {
-        os << "r" << i << ":";
-      }
-      os << invalidations_by_relation[i];
-    }
-    os << "]";
-  }
-  if (streams_registered > 0) {
-    os << " streams=" << streams_registered
-       << " subscriptions=" << stream_subscriptions
-       << " bindings=" << stream_bindings << " (" << stream_new_bindings
-       << " mid-stream) rechecked=" << stream_rechecks
-       << " skipped=" << stream_skips << "+" << stream_sticky_skips
-       << " settled, value_gate_skips=" << stream_value_gate_skips
-       << " gate_fallbacks=[adom:" << stream_value_gate_fallback_adom
-       << " dep-ltr:" << stream_value_gate_fallback_dependent_ltr
-       << " unconstrained:" << stream_value_gate_fallback_unconstrained
-       << "] gate_narrowed=[semijoin:" << stream_value_gate_semijoin
-       << " newborn:" << stream_value_gate_newborn
-       << "] events=" << stream_events;
-    if (!stream_rechecks_by_relation.empty()) {
-      os << " stream_rechecks=[";
-      for (size_t i = 0; i < stream_rechecks_by_relation.size(); ++i) {
-        if (i > 0) os << " ";
-        if (i + 1 == stream_rechecks_by_relation.size()) {
-          os << "adom:";
-        } else {
-          os << "r" << i << ":";
-        }
-        os << stream_rechecks_by_relation[i];
-      }
-      os << "]";
-    }
-  }
-  if (wal_records > 0 || replay_records > 0) {
-    os << " wal=" << wal_records << " records/" << wal_bytes << " bytes"
-       << " fsyncs=" << wal_fsyncs << " commit_batches=" << wal_commit_batches
-       << " (+" << wal_commit_waiters << " absorbed)"
-       << " snapshots=" << snapshots_written
-       << " replayed=" << replay_records << " records/" << replay_facts
-       << " facts torn_tails=" << wal_truncated_tails;
-  }
-  return os.str();
-}
 
 /// RAII gauge used by the overlap telemetry.
 class RelevanceEngine::ActivityScope {
@@ -115,7 +42,7 @@ RelevanceEngine::RelevanceEngine(const Schema& schema,
       analyzer_(schema, acs),
       num_relations_(schema.num_relations()),
       num_domains_(schema.num_domains()),
-      stripe_count_(ResolveStripes(options_.lock_stripes, num_relations_)),
+      stripe_count_(std::clamp<size_t>(num_relations_, 1, 64)),
       stripe_mu_(stripe_count_),
       conf_(std::move(initial)),
       frontier_(schema, acs),
@@ -796,48 +723,6 @@ std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
   // Workers share the caller's locks: the pool runs strictly inside this
   // scope, so the footprint's shards cannot move underneath them.
   pool_.ParallelFor(accesses.size(), check);
-  return results;
-}
-
-std::vector<CheckOutcome> RelevanceEngine::CheckMany(
-    const std::vector<CheckRequest>& requests, bool parallel) {
-  std::vector<CheckOutcome> results(requests.size());
-  if (requests.empty()) return results;
-  ScopedTimer batch_timer(&obs_.batch_ns);
-  counters_.Bump(counters_.batch_calls);
-  counters_.Bump(counters_.batch_items,
-                 static_cast<uint64_t>(requests.size()));
-
-  CheckLocks locks(*this);
-  // Union lock footprint across items (each item's LockFootprint plus its
-  // accessed relation, computed once).
-  RelationFootprint fp;
-  bool ltr_dependent = false;
-  for (const CheckRequest& req : requests) {
-    for (RelationId rel : queries_[req.query]->footprint.relations) {
-      fp.Add(rel);
-    }
-    AddAccessed(req.access, &fp);
-    if (req.kind == CheckKind::kLongTerm && !acs_.AllIndependent()) {
-      ltr_dependent = true;
-    }
-  }
-  if (ltr_dependent) {
-    for (AccessMethodId mid = 0; mid < acs_.size(); ++mid) {
-      fp.Add(acs_.method(mid).relation);
-    }
-  }
-  locks.PinStripes(fp);
-  auto check = [&](size_t i) {
-    CheckScope scope(this, requests[i].query, requests[i].kind);
-    results[i] = CheckLocked(&scope, requests[i].access);
-  };
-  if (!parallel || requests.size() == 1 || pool_.size() == 1) {
-    for (size_t i = 0; i < requests.size(); ++i) check(i);
-    return results;
-  }
-  // Workers share the caller's locks (see CheckBatch).
-  pool_.ParallelFor(requests.size(), check);
   return results;
 }
 

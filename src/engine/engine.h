@@ -77,9 +77,6 @@ struct EngineOptions {
   /// instead of their footprint sub-vector — the pre-sharding behaviour,
   /// kept as a baseline for benchmarks and validation.
   bool footprint_invalidation = true;
-  /// Lock stripes for the per-relation state shards. 0 = one stripe per
-  /// relation, capped at 64; relations hash onto stripes beyond the cap.
-  int lock_stripes = 0;
   /// Admission bound on concurrently outstanding ApplyResponse calls
   /// (entry through listener completion); excess applies are rejected
   /// with ResourceExhausted instead of queueing on the stripe locks.
@@ -199,8 +196,8 @@ struct CheckOutcome {
 /// frontier_mu_ > leaf mutexes):
 ///  * Checks take `state_mu_` shared, `adom_mu_` shared, and the stripe
 ///    locks of their footprint shared, once per call: one access
-///    (CheckImmediate / CheckLongTerm), a batch (CheckBatch / CheckMany)
-///    or a scan (FirstRelevant). LTR checks included: the deciders read
+///    (CheckImmediate / CheckLongTerm), a batch (CheckBatch) or a scan
+///    (FirstRelevant). LTR checks included: the deciders read
 ///    through ConfigView overlays (relational/overlay.h) instead of
 ///    copying the configuration, so they pin only the relations they read
 ///    (plus, under dependent methods, relations with methods — the
@@ -302,23 +299,6 @@ class RelevanceEngine {
   /// align with `accesses` by index.
   std::vector<CheckOutcome> CheckBatch(QueryId id, CheckKind kind,
                                        const std::vector<Access>& accesses);
-
-  /// One item of a heterogeneous check batch (CheckMany).
-  struct CheckRequest {
-    QueryId query = 0;
-    CheckKind kind = CheckKind::kImmediate;
-    Access access;
-  };
-
-  /// Decides a heterogeneous batch — (query, kind, access) per item —
-  /// under a *single* acquisition of the state/Adom locks and the union
-  /// of every item's check stripes. The fan-in path for stream recheck
-  /// waves: thousands of per-binding-query checks whose footprints share
-  /// a handful of stripes pay the locking once instead of per item.
-  /// Results align with `requests` by index. With `parallel`, items fan
-  /// out over the worker pool (never call from inside a pool task).
-  std::vector<CheckOutcome> CheckMany(const std::vector<CheckRequest>& requests,
-                                      bool parallel = false);
 
   /// Outcome of FirstRelevant.
   struct ScanOutcome {
@@ -526,6 +506,7 @@ class RelevanceEngine {
   RelevanceAnalyzer analyzer_;
   const size_t num_relations_;
   const size_t num_domains_;
+  /// One stripe per relation, capped at 64 (StripeOf hashes beyond it).
   const size_t stripe_count_;
 
   /// Structure lock: exclusive for whole-configuration operations

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace rar {
@@ -96,9 +95,6 @@ struct EngineStats {
   /// Retained events evicted by StreamOptions::retain_cap — each one is a
   /// gap some lagging subscriber will have to re-snapshot across.
   uint64_t stream_retained_evicted = 0;
-  /// Streams degraded to conservative full-recheck mode (gate indexes
-  /// dropped) by RelevanceStreamRegistry::Degrade.
-  uint64_t stream_degraded = 0;
   /// Stream rechecks attributed to the applied relation that triggered
   /// them, indexed by RelationId; the trailing slot counts rechecks
   /// triggered by registration / active-domain growth.
@@ -143,7 +139,6 @@ struct EngineStats {
   uint64_t server_errors = 0;        ///< kError responses served (all codes)
   uint64_t server_bad_frames = 0;    ///< connections closed on framing damage
   uint64_t server_applies_shed = 0;  ///< applies bounced by engine admission
-  uint64_t server_streams_degraded = 0;  ///< hot streams forced conservative
   uint64_t server_cursor_evictions = 0;  ///< polls answered "cursor evicted"
   uint64_t server_backlog_high_water = 0;  ///< max retained backlog seen
   uint64_t server_dedup_hits = 0;   ///< retried requests answered from cache
@@ -169,8 +164,6 @@ struct EngineStats {
                ? 0.0
                : static_cast<double>(ltr_time_ns) / uncached_ltr_checks;
   }
-
-  std::string ToString() const;
 };
 
 /// \brief The engine's live counter block (relaxed atomics).

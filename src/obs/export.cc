@@ -212,7 +212,6 @@ std::vector<CounterRow> StreamRows(const EngineStats& s) {
       {"value_gate_semijoin_rechecks", s.stream_value_gate_semijoin, false},
       {"value_gate_newborn_rechecks", s.stream_value_gate_newborn, false},
       {"retained_evicted", s.stream_retained_evicted, false},
-      {"degraded", s.stream_degraded, false},
   };
 }
 
@@ -237,7 +236,6 @@ std::vector<CounterRow> ServerRows(const EngineStats& s) {
       {"errors", s.server_errors, false},
       {"bad_frames", s.server_bad_frames, false},
       {"applies_shed", s.server_applies_shed, false},
-      {"streams_degraded", s.server_streams_degraded, false},
       {"cursor_evictions", s.server_cursor_evictions, false},
       {"backlog_high_water", s.server_backlog_high_water, true},
       {"dedup_hits", s.server_dedup_hits, false},

@@ -29,7 +29,7 @@ struct ObsSnapshot {
   HistogramSnapshot ir_decider_ns;   ///< uncached IR decider wall time
   HistogramSnapshot ltr_decider_ns;  ///< uncached LTR decider wall time
   HistogramSnapshot apply_ns;        ///< ApplyResponse end-to-end latency
-  HistogramSnapshot batch_ns;        ///< CheckBatch/CheckMany batch latency
+  HistogramSnapshot batch_ns;        ///< CheckBatch batch latency
   HistogramSnapshot wave_ns;         ///< stream recheck-wave duration
   HistogramSnapshot wave_width;      ///< bindings re-evaluated per wave
   HistogramSnapshot queue_wait_ns;   ///< worker-pool task queue wait

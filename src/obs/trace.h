@@ -43,7 +43,7 @@ enum class WaveFallbackReason : uint8_t {
   kNone = 0,        ///< value-gated (or nothing was stale)
   kAdomGrowth,      ///< the apply grew the active domain: full recheck
   kDependentLtr,    ///< dependent-method LTR stream: gate unsupported
-  kForcedFull,      ///< force_full_recheck / registration / refresh
+  kForcedFull,      ///< force_full_recheck / registration
   kAdomDelta,       ///< Adom growth gated to {touched, newborn, residual}
 };
 

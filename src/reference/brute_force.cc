@@ -133,11 +133,16 @@ bool BruteForceIR(const ConfigView& conf, const AccessMethodSet& acs,
                   const Access& access, const UnionQuery& query,
                   const BruteForceOptions& options) {
   if (!CheckWellFormed(conf, acs, access).ok()) return false;
+  // A Boolean query's only possible answer is the empty tuple: decide it
+  // with EvalBool rather than enumerating every homomorphism.
+  const bool boolean = query.IsBoolean();
+  if (boolean && EvalBool(query, conf)) return false;
   BoundedUniverse universe(conf, acs, options.extra_constants_per_domain,
                            BindingValues(acs, access));
-  std::set<std::vector<Value>> before = CertainAnswers(query, conf);
   OverlayConfiguration after(&conf);
   for (const Fact& f : universe.FactsMatching(access)) after.AddFact(f);
+  if (boolean) return EvalBool(query, after);
+  std::set<std::vector<Value>> before = CertainAnswers(query, conf);
   std::set<std::vector<Value>> after_answers = CertainAnswers(query, after);
   for (const std::vector<Value>& t : after_answers) {
     if (before.count(t) == 0) return true;

@@ -414,25 +414,9 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     error->message = delta.status().ToString();
     return "";
   }
-  PoliceBacklog(sid);
+  // The backlog gauge: what the retention cap (max_backlog_events) holds.
+  MaxInto(counters_.backlog_high_water, store_->streams().RetainedCount(sid));
   return EncodePollResponse(engine().schema(), *delta);
-}
-
-void SessionServer::PoliceBacklog(StreamId sid) {
-  RelevanceStreamRegistry& registry = store_->streams();
-  const uint64_t retained = registry.RetainedCount(sid);
-  MaxInto(counters_.backlog_high_water, retained);
-  if (options_.degrade_backlog_events == 0 ||
-      retained <= options_.degrade_backlog_events) {
-    return;
-  }
-  // The stream is running hot: shed its gate indexes and fall back to
-  // conservative full-recheck waves. Verdict-identical (the flag is
-  // consulted per wave), so parity holds — only the wave cost changes.
-  // Degrade is idempotent and true only for the call that degraded, so a
-  // shared stream counts once however many subscribers run hot.
-  Result<bool> degraded = registry.Degrade(sid);
-  if (degraded.ok() && *degraded) Bump(counters_.streams_degraded);
 }
 
 std::string SessionServer::HandleAcknowledge(const WireFrame& frame,
@@ -590,7 +574,6 @@ void SessionServer::ContributeStats(EngineStats* stats) const {
   stats->server_errors += load(counters_.errors);
   stats->server_bad_frames += load(counters_.bad_frames);
   stats->server_applies_shed += load(counters_.applies_shed);
-  stats->server_streams_degraded += load(counters_.streams_degraded);
   stats->server_cursor_evictions += load(counters_.cursor_evictions);
   stats->server_backlog_high_water += load(counters_.backlog_high_water);
   stats->server_dedup_hits += load(counters_.dedup_hits);

@@ -52,13 +52,8 @@
 //    subscriber loses its oldest events (kCursorEvicted, with the horizon
 //    in its own numbering, tells it to re-snapshot) instead of pinning
 //    memory, while the other subscribers of the stream keep polling
-//    gap-free. When a subscription's backlog crosses
-//    degrade_backlog_events, its stream is degraded to conservative
-//    full-recheck mode (RelevanceStreamRegistry::Degrade), shedding the
-//    gate indexes' memory; streams_degraded counts streams, not
-//    subscribers. Degrading never changes verdicts — force_full_recheck
-//    is verdict-identical by the value gate's soundness argument — so
-//    served answers keep exact parity with a fresh decider.
+//    gap-free. backlog_high_water records the largest retained backlog a
+//    poll saw, so an operator can size the cap.
 #ifndef RAR_SERVER_SERVER_H_
 #define RAR_SERVER_SERVER_H_
 
@@ -87,10 +82,6 @@ struct ServerOptions {
   /// (tightens a client-supplied StreamOptions::retain_cap, never loosens
   /// it). 0 = leave the client's cap (possibly unbounded).
   uint64_t max_backlog_events = 0;
-  /// Degrade a stream to conservative full-recheck mode once a
-  /// subscription's retained backlog exceeds this (checked at poll time).
-  /// 0 = never degrade.
-  uint64_t degrade_backlog_events = 0;
   /// Reap sessions idle longer than this (checked opportunistically on
   /// Hello and via ReapIdleSessions). 0 = never reap.
   uint64_t idle_timeout_ms = 0;
@@ -192,9 +183,6 @@ class SessionServer : public ApplyListener {
   std::string Answer(Result<DurableSession::Outcome> outcome,
                      MessageType type, WireError* error);
 
-  /// Post-poll backlog policing for one subscription: high-water tracking
-  /// and the degrade threshold.
-  void PoliceBacklog(StreamId sid);
 
   std::unique_ptr<DurableSession> owned_store_;  ///< in-memory serving's
   DurableSession* store_;
@@ -228,7 +216,6 @@ class SessionServer : public ApplyListener {
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> bad_frames{0};
     std::atomic<uint64_t> applies_shed{0};
-    std::atomic<uint64_t> streams_degraded{0};
     std::atomic<uint64_t> cursor_evictions{0};
     std::atomic<uint64_t> backlog_high_water{0};
     std::atomic<uint64_t> dedup_hits{0};

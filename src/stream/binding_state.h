@@ -154,19 +154,11 @@ struct Subscription {
 struct StreamState {
   StreamState(const Schema& schema, const UnionQuery& q, StreamOptions opts,
               const std::vector<TypedValue>* preset_fresh = nullptr)
-      : query(q),
-        options(opts),
-        full_recheck(opts.force_full_recheck),
-        inst(schema, q, preset_fresh) {}
+      : query(q), options(opts), inst(schema, q, preset_fresh) {}
 
   UnionQuery query;
   /// As registered: part of the sharing key, and what snapshots persist.
   StreamOptions options;
-  /// Waves re-evaluate every stale binding: registered with
-  /// StreamOptions::force_full_recheck, or degraded since (Degrade). Kept
-  /// apart from `options` so degrading changes neither the key nor the
-  /// persisted registration.
-  bool full_recheck = false;
   HeadInstantiator inst;
   /// StreamId of the registration that built this stream (set once before
   /// publication; read by wave trace events).
@@ -180,7 +172,7 @@ struct StreamState {
   /// Extra relations the LTR verdicts read beyond a binding's footprint:
   /// with dependent methods in play, an access over *any* method relation
   /// can be LTR-relevant through a production chain (mirror of the
-  /// engine's StripesForCheck widening); empty for IR-only streams and
+  /// engine's LockFootprint widening); empty for IR-only streams and
   /// all-independent method sets.
   std::vector<RelationId> extra_relations;
 
@@ -238,8 +230,6 @@ struct StreamState {
   std::vector<size_t> wave_stale;
   std::vector<VersionStamp> wave_stamps;
   std::vector<std::vector<StreamEvent>> wave_events;
-  std::vector<char> wave_resolved;
-  std::vector<size_t> wave_remaining;
   std::vector<char> wave_touched;  ///< per-binding gate verdict
   /// Per-`adom_domains` version brackets of the wave's event (index i
   /// pairs with adom_domains[i]); kAdomUnmoved marks domains the event

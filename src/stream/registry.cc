@@ -117,14 +117,6 @@ SemijoinPlan BuildSemijoinPlan(const std::vector<AtomGateConstraint>& atoms,
   return plan;
 }
 
-// Maps an engine outcome to the stream's relevance verdict (out-of-scope
-// LTR verdicts fall back to the conservative default).
-bool OutcomeRelevant(const StreamOptions& options, CheckKind kind,
-                     const CheckOutcome& out) {
-  if (kind == CheckKind::kImmediate) return out.ok() && out.relevant;
-  return out.ok() ? out.relevant : options.conservative_on_unknown;
-}
-
 // The sharing key of a registration: every StreamOptions field, then the
 // query per disjunct — variable domains (as validation infers them), head
 // and atoms, with variable names left out. Equal keys decide identical
@@ -279,6 +271,36 @@ void RestoreCursor(const StreamState& s, Subscription& sub,
   sub.acked = info.acked_sequence;
   sub.delivered = info.acked_sequence;
   sub.evicted = info.evicted_through;
+}
+
+// Poll's body: hands out the subscription's events past its cursor (see
+// RelevanceStreamRegistry::Poll). Caller holds `s.mu`.
+StreamDelta PollLocked(StreamState& s, Subscription& sub) {
+  StreamDelta delta;
+  const uint64_t last = OwnLast(s, sub);
+  delta.last_sequence = last;
+  if (!s.options.retain_events) {
+    // One cursor: a non-retaining Poll acknowledges what it returns, and
+    // what every subscription has acknowledged moves out of the log.
+    if (last == sub.acked) return delta;
+    const uint64_t from = sub.acked;
+    SetAcked(s, sub, last);
+    EmitRange(s, sub, from, last, /*consume=*/true, MinAcked(s),
+              &delta.events);
+    TrimPrefix(sub, last);
+    TrimLog(s);
+    return delta;
+  }
+  // Retained mode: copy past the delivery cursor; events survive until
+  // Acknowledge so a reconnecting subscriber can PollAfter(acked).
+  const uint64_t horizon = Horizon(s, sub);
+  TrimPrefix(sub, std::max(sub.acked, horizon));
+  const uint64_t from = std::max({sub.delivered, sub.acked, horizon});
+  EmitRange(s, sub, from, last, /*consume=*/false, /*move_through=*/0,
+            &delta.events);
+  if (last > from) sub.delivered = last;
+  delta.evicted_through = horizon;
+  return delta;
 }
 
 }  // namespace
@@ -479,8 +501,8 @@ Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
   for (size_t d = 0; d < s.inst.num_domains(); ++d) {
     s.candidates.seen[d] = s.candidates.values[d].size();
   }
-  RecheckWave(s, num_relations_, /*force=*/true, /*event=*/nullptr,
-              /*performed_after=*/0, /*adom_hit=*/false);
+  RecheckWave(s, num_relations_, /*event=*/nullptr, /*performed_after=*/0,
+              /*adom_hit=*/false);
   if (info != nullptr && info->quiet) {
     // Snapshot restore: the subscriber already consumed everything through
     // its acknowledged cursor, so the registration's own events are noise.
@@ -1121,15 +1143,18 @@ RelevanceStreamRegistry::PendingSnapshot() {
 }
 
 void RelevanceStreamRegistry::RecheckWave(StreamState& s,
-                                          size_t attribution_slot, bool force,
+                                          size_t attribution_slot,
                                           const ApplyEvent* event,
                                           uint64_t performed_after,
                                           bool adom_hit) {
   const uint64_t wave_t0 = MonotonicNs();
+  // The registration wave and every wave of a force_full_recheck stream
+  // re-evaluate each stale binding without consulting the value gate.
+  const bool full = event == nullptr || s.options.force_full_recheck;
   // Why this wave re-evaluated instead of value-gating (trace attribution;
   // mirrors the value_gate_fallback_* counter taxonomy).
   WaveFallbackReason wave_reason = WaveFallbackReason::kNone;
-  if (force || event == nullptr || s.full_recheck) {
+  if (full) {
     wave_reason = WaveFallbackReason::kForcedFull;
   } else if (adom_hit) {
     wave_reason = WaveFallbackReason::kAdomGrowth;
@@ -1163,12 +1188,11 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   // The value gate applies when the landed delta bounds what any binding
   // could have observed: a gate-supported stream, and — for Adom-growing
   // applies — a semijoin-supported (IR-only) stream with the event's
-  // per-domain version brackets available. Registration/Refresh waves
-  // (force) re-evaluate everything by definition.
+  // per-domain version brackets available.
   bool gated = false;
   s.wave_adom_pre.clear();
   s.wave_adom_post.clear();
-  if (!force && event != nullptr && !s.full_recheck) {
+  if (!full) {
     if (adom_hit) {
       if (s.semijoin_supported && !event->grown_domains.empty() &&
           !event->adom_versions_after.empty() && !event->new_adom.empty()) {
@@ -1229,7 +1253,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
       continue;
     }
     VersionStamp stamp = StampFor(s, b);
-    if (!force && b.evaluated && b.stamp == stamp) {
+    if (event != nullptr && b.evaluated && b.stamp == stamp) {
       ++skipped;
       continue;
     }
@@ -1280,7 +1304,7 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
     record_wave(0, skipped + sticky + gate_skipped);
     return;
   }
-  if (!force && event != nullptr && !s.full_recheck && !gated) {
+  if (!full && !gated) {
     if (adom_hit) {
       counters_.Bump(counters_.value_gate_fallback_adom,
                      static_cast<uint64_t>(stale.size()));
@@ -1299,63 +1323,18 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   std::vector<std::vector<StreamEvent>>& wave = s.wave_events;
   wave.clear();
   wave.resize(stale.size());
-  std::vector<char>& resolved = s.wave_resolved;
-  resolved.assign(stale.size(), 0);
-
-  // Phase A — witness fast path as one heterogeneous batch: the access
-  // that made a binding relevant last time usually still does, so the
-  // steady-state wave is a single CheckMany (one acquisition of the
-  // state/Adom/stripe locks for the whole stream) that confirms almost
-  // every binding.
-  const AccessMethodSet& acs = engine_->access_methods();
-  const CheckKind witness_kind = s.options.use_immediate
-                                     ? CheckKind::kImmediate
-                                     : CheckKind::kLongTerm;
-  std::vector<RelevanceEngine::CheckRequest> requests;
-  std::vector<size_t> request_of;
-  for (size_t j = 0; j < stale.size(); ++j) {
-    const BindingState& b = s.bindings[stale[j]];
-    if (!b.has_witness || !b.relevant) continue;
-    if (!CheckApplicable(acs, b.footprint, witness_kind, b.witness.method) ||
-        engine_->WasPerformed(b.witness)) {
-      continue;
-    }
-    requests.push_back(
-        RelevanceEngine::CheckRequest{b.qid, witness_kind, b.witness});
-    request_of.push_back(j);
-  }
-  if (!requests.empty()) {
-    const bool parallel = requests.size() >= s.options.parallel_threshold &&
-                          engine_->worker_pool().size() > 1;
-    std::vector<CheckOutcome> outs = engine_->CheckMany(requests, parallel);
-    for (size_t k = 0; k < outs.size(); ++k) {
-      if (!OutcomeRelevant(s.options, witness_kind, outs[k])) continue;
-      const size_t j = request_of[k];
-      BindingState& b = s.bindings[stale[j]];
-      // Relevant with the same witness: no transition, just restamp.
-      b.stamp = std::move(stamps[j]);
-      b.evaluated = true;
-      resolved[j] = 1;
-    }
-  }
-
-  // Phase B — full evaluation for bindings the witness no longer carries.
-  std::vector<size_t>& remaining = s.wave_remaining;
-  remaining.clear();
-  for (size_t j = 0; j < stale.size(); ++j) {
-    if (!resolved[j]) remaining.push_back(j);
-  }
-  if (remaining.size() >= s.options.parallel_threshold &&
+  // One decision path: EvalBinding decides every stale binding, its
+  // witness-first scan confirming a still-relevant witness in one probe.
+  if (stale.size() >= s.options.parallel_threshold &&
       engine_->worker_pool().size() > 1) {
     // Tasks touch disjoint bindings; the caller's hold on s.mu keeps
     // Poll/Snapshot (and other waves) out until the whole wave lands.
-    engine_->worker_pool().ParallelFor(remaining.size(), [&](size_t r) {
-      const size_t j = remaining[r];
+    engine_->worker_pool().ParallelFor(stale.size(), [&](size_t j) {
       wave[j] = EvalBinding(s, s.bindings[stale[j]], pending,
                             std::move(stamps[j]));
     });
   } else {
-    for (size_t j : remaining) {
+    for (size_t j = 0; j < stale.size(); ++j) {
       wave[j] = EvalBinding(s, s.bindings[stale[j]], pending,
                             std::move(stamps[j]));
     }
@@ -1425,7 +1404,7 @@ void RelevanceStreamRegistry::OnApply(const ApplyEvent& event) {
     if (adom_hit) (void)ExtendBindings(s);
     RecheckWave(s, event.relation < num_relations_ ? event.relation
                                                    : num_relations_,
-                /*force=*/false, &event, performed_after, adom_hit);
+                &event, performed_after, adom_hit);
   }
 }
 
@@ -1441,61 +1420,36 @@ void RelevanceStreamRegistry::ContributeStats(EngineStats* stats) const {
 }
 
 StreamDelta RelevanceStreamRegistry::Poll(StreamId id) {
-  StreamDelta delta;
   const SubscriptionRef ref = subscription(id);
-  if (ref.stream == nullptr) return delta;
-  StreamState& s = *ref.stream;
-  Subscription& sub = *ref.sub;
-  std::lock_guard<std::mutex> lock(s.mu);
-  const uint64_t last = OwnLast(s, sub);
-  delta.last_sequence = last;
-  if (!s.options.retain_events) {
-    // One cursor: a non-retaining Poll acknowledges what it returns, and
-    // what every subscription has acknowledged moves out of the log.
-    if (last == sub.acked) return delta;
-    const uint64_t from = sub.acked;
-    SetAcked(s, sub, last);
-    EmitRange(s, sub, from, last, /*consume=*/true, MinAcked(s),
-              &delta.events);
-    TrimPrefix(sub, last);
-    TrimLog(s);
-    return delta;
-  }
-  // Retained mode: copy past the delivery cursor; events survive until
-  // Acknowledge so a reconnecting subscriber can PollAfter(acked).
-  const uint64_t horizon = Horizon(s, sub);
-  TrimPrefix(sub, std::max(sub.acked, horizon));
-  const uint64_t from = std::max({sub.delivered, sub.acked, horizon});
-  EmitRange(s, sub, from, last, /*consume=*/false, /*move_through=*/0,
-            &delta.events);
-  if (last > from) sub.delivered = last;
-  delta.evicted_through = horizon;
-  return delta;
+  if (ref.stream == nullptr) return StreamDelta{};
+  std::lock_guard<std::mutex> lock(ref.stream->mu);
+  return PollLocked(*ref.stream, *ref.sub);
 }
 
 Result<StreamDelta> RelevanceStreamRegistry::PollAfter(StreamId id,
                                                        uint64_t cursor) {
   const SubscriptionRef ref = subscription(id);
   if (ref.stream == nullptr) return StreamDelta{};
-  {
-    StreamState& s = *ref.stream;
-    Subscription& sub = *ref.sub;
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.options.retain_events) {
-      const uint64_t horizon = Horizon(s, sub);
-      if (cursor < horizon) {
-        // The retention cap dropped events past this cursor: the gap
-        // cannot be filled. The subscriber must re-Snapshot for current
-        // state, then resume from the eviction horizon (EvictedThrough).
-        return Status::FailedPrecondition(
-            "cursor evicted: retention cap dropped events through sequence " +
-            std::to_string(horizon) + " (cursor " + std::to_string(cursor) +
-            "); re-snapshot and resume from there");
-      }
-      if (cursor < sub.delivered) sub.delivered = cursor;
+  StreamState& s = *ref.stream;
+  Subscription& sub = *ref.sub;
+  // The horizon test and the poll share one hold of `s.mu`: a wave landing
+  // between them could evict past `cursor`, and the poll would then hand
+  // out events from the new horizon on — a gap with no kCursorEvicted.
+  std::lock_guard<std::mutex> lock(s.mu);
+  if (s.options.retain_events) {
+    const uint64_t horizon = Horizon(s, sub);
+    if (cursor < horizon) {
+      // The retention cap dropped events past this cursor: the gap
+      // cannot be filled. The subscriber must re-Snapshot for current
+      // state, then resume from the eviction horizon (EvictedThrough).
+      return Status::FailedPrecondition(
+          "cursor evicted: retention cap dropped events through sequence " +
+          std::to_string(horizon) + " (cursor " + std::to_string(cursor) +
+          "); re-snapshot and resume from there");
     }
+    if (cursor < sub.delivered) sub.delivered = cursor;
   }
-  return Poll(id);
+  return PollLocked(s, sub);
 }
 
 Status RelevanceStreamRegistry::Acknowledge(StreamId id, uint64_t upto) {
@@ -1579,39 +1533,6 @@ std::vector<BindingView> RelevanceStreamRegistry::RelevantBindings(
     if (b.relevant) out.push_back(MakeBindingView(b));
   }
   return out;
-}
-
-void RelevanceStreamRegistry::Refresh(StreamId id) {
-  StreamState* s = stream(id);
-  if (s == nullptr) return;
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->defunct) return;
-  RecheckWave(*s, num_relations_, /*force=*/true, /*event=*/nullptr,
-              /*performed_after=*/0, /*adom_hit=*/false);
-}
-
-Result<bool> RelevanceStreamRegistry::Degrade(StreamId id) {
-  StreamState* s = stream(id);
-  if (s == nullptr) return Status::NotFound("no such stream");
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->full_recheck) return false;  // already degraded
-  // full_recheck is consulted at the top of every wave, so flipping it
-  // here (under s.mu, which waves hold) takes effect on the next wave; the
-  // gate indexes become dead weight and are dropped. Verdicts are
-  // unaffected: a full recheck decides exactly what a gated wave would
-  // have (the gate only ever *skips* provably-unchanged bindings). The
-  // registered options stay as they were: they key the stream and are
-  // what snapshots persist, so a restored stream starts gated again.
-  s->full_recheck = true;
-  s->gate_supported = false;
-  s->semijoin_supported = false;
-  s->gates.clear();
-  s->value_index.clear();
-  s->index_built = false;
-  s->fact_index.clear();
-  s->fact_index_built = false;
-  counters_.Bump(counters_.streams_degraded);
-  return true;
 }
 
 size_t RelevanceStreamRegistry::RetainedCount(StreamId id) const {

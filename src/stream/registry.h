@@ -33,8 +33,9 @@
 //     by exactly this event's delta, so staleness from concurrent applies
 //     survives for their own waves. Conservative full-wave fallbacks:
 //     dependent-method LTR streams (production chains escape atom
-//     unification), >= 64 disjuncts, and the
-//     StreamOptions::force_full_recheck escape hatch.
+//     unification), >= 64 disjuncts, and streams registered with
+//     StreamOptions::force_full_recheck (the gate-free reference twin the
+//     parity tests compare against).
 //  4. *semijoin narrowing* (IR-only gated streams): a fact landing on a
 //     constraint-free atom unifies with it under *every* binding, but for
 //     a relevant binding the only verdict a landed fact can move is
@@ -59,13 +60,13 @@
 //     bindings keep their monotone witnesses and are restamped across the
 //     event's per-domain version brackets.
 //
-// Re-evaluation piggybacks on the engine: a binding's probes are
-// `FirstRelevant` scans (witness IR, witness LTR, pending IR, pending
-// LTR; one acquisition of the engine's striped locks each), the wave's
-// witness fast path is one `CheckMany` batch, and both go through the
-// engine's decision cache (binding queries are ordinary engine queries).
-// Waves above `StreamOptions::parallel_threshold` fan out over the
-// engine's worker pool. Active-domain growth delta-enumerates exactly the new head
+// Re-evaluation piggybacks on the engine: each stale binding is decided
+// one way, by EvalBinding's `FirstRelevant` scans (witness IR, witness
+// LTR, pending IR, pending LTR; one acquisition of the engine's striped
+// locks each), which go through the engine's decision cache (binding
+// queries are ordinary engine queries). Waves above
+// `StreamOptions::parallel_threshold` fan out over the engine's worker
+// pool. Active-domain growth delta-enumerates exactly the new head
 // bindings via HeadInstantiator::ForEachNewBinding.
 //
 // Sharing: a relevance verdict depends only on the query and the
@@ -82,8 +83,8 @@
 // s plus a fixed offset. The shared log keeps events from the lowest
 // acknowledged position among the stream's subscriptions; `retain_cap`
 // bounds it, and only subscriptions behind the resulting horizon see
-// their cursor evicted. Snapshot, RelevantBindings, Refresh and Degrade
-// act on the shared stream.
+// their cursor evicted. Snapshot and RelevantBindings act on the shared
+// stream.
 //
 // Threading: OnApply runs on the applying thread after the engine released
 // its locks; waves serialize per stream (StreamState::mu) while distinct
@@ -213,22 +214,6 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// stream-driven crawl performs next.
   std::vector<BindingView> RelevantBindings(StreamId id) const;
 
-  /// Forces a full re-evaluation of every non-settled binding (testing /
-  /// recovery hook; normal maintenance is apply-driven).
-  void Refresh(StreamId id);
-
-  /// Degrades the subscription's (shared) stream to conservative mode:
-  /// full rechecks, as StreamOptions::force_full_recheck gives, and the
-  /// value/fact gate indexes dropped (the stream's resident memory beyond
-  /// the bindings themselves). The serving layer's load-shedding hook for
-  /// hot streams. Sound: the flag is consulted per wave and full rechecks
-  /// are verdict-identical to gated ones by the gate's soundness argument
-  /// (DESIGN.md, "Value-gated hit waves"). Idempotent and sticky: returns
-  /// true only for the call that degraded the stream. Runtime state only:
-  /// the registered options (the sharing key, and what DumpPersistState
-  /// returns) are unchanged.
-  Result<bool> Degrade(StreamId id);
-
   /// The subscription's own retained backlog: events emitted to it and
   /// neither acknowledged nor evicted (the serving layer's backlog gauge).
   /// 0 for unknown or non-retaining subscriptions.
@@ -268,16 +253,17 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// advances the candidate cursor. Caller holds `s.mu`.
   Status ExtendBindings(StreamState& s);
 
-  /// Rechecks every binding whose stamp went stale (all of them when
-  /// `force`), attributing recheck counts to `attribution_slot` (a
-  /// RelationId, or num_relations_ for registration/Adom waves). For
-  /// apply-driven waves `event` carries the landed delta and
-  /// `performed_after` the registry's performed counter for the event's
-  /// relation as of this apply — together they drive the value gate;
-  /// `adom_hit` says the event grew a domain this stream tracks (always
-  /// `event->adom_grew` for streams without per-domain stamps).
-  /// Registration/Refresh waves pass nullptr/false. Caller holds `s.mu`.
-  void RecheckWave(StreamState& s, size_t attribution_slot, bool force,
+  /// Rechecks every binding whose stamp went stale, attributing recheck
+  /// counts to `attribution_slot` (a RelationId, or num_relations_ for
+  /// registration/Adom waves). For apply-driven waves `event` carries the
+  /// landed delta and `performed_after` the registry's performed counter
+  /// for the event's relation as of this apply — together they drive the
+  /// value gate (unless StreamOptions::force_full_recheck); `adom_hit`
+  /// says the event grew a domain this stream tracks (always
+  /// `event->adom_grew` for streams without per-domain stamps). The
+  /// registration wave passes nullptr/false and evaluates every binding.
+  /// Caller holds `s.mu`.
+  void RecheckWave(StreamState& s, size_t attribution_slot,
                    const ApplyEvent* event, uint64_t performed_after,
                    bool adom_hit);
 

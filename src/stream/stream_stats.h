@@ -38,10 +38,8 @@ struct StreamCounters {
   std::atomic<uint64_t> value_gate_semijoin_rechecks{0};
   std::atomic<uint64_t> value_gate_newborn_rechecks{0};
   /// Retained events evicted by StreamOptions::retain_cap (lagging or
-  /// dead subscribers) and streams degraded to conservative full-recheck
-  /// mode (Degrade — the serving layer's load-shedding hook).
+  /// dead subscribers).
   std::atomic<uint64_t> retained_evicted{0};
-  std::atomic<uint64_t> streams_degraded{0};
 
   void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
     c.fetch_add(n, std::memory_order_relaxed);
@@ -68,7 +66,6 @@ struct StreamCounters {
     stats->stream_value_gate_semijoin += ld(value_gate_semijoin_rechecks);
     stats->stream_value_gate_newborn += ld(value_gate_newborn_rechecks);
     stats->stream_retained_evicted += ld(retained_evicted);
-    stats->stream_degraded += ld(streams_degraded);
   }
 };
 

@@ -1113,59 +1113,6 @@ TEST(DurableSessionTest, PerRegistrationPoolsFromBeforeSharingRecover) {
   EXPECT_EQ(pool_of(**restored, 2), pools[0]);
 }
 
-// Degrading is runtime state: a snapshot persists the stream's options as
-// registered, so after a restore the query still finds its stream — from
-// the WAL tail and from a live registration alike — and the tail
-// subscription replays what the session that never crashed delivered.
-TEST(DurableSessionTest, DegradedStreamStaysSharedAcrossSnapshotRestore) {
-  PersistFixture fx;
-  const std::string dir = TestDir("degraded");
-  std::vector<StreamEvent> tail;
-  {
-    auto opened = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                       {}, fx.quiet_engine());
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    DurableSession& session = **opened;
-    const StreamId first = *session.RegisterStream(fx.stream_q);
-    ASSERT_TRUE(session
-                    .Apply(Access{fx.mr, {fx.C("b")}},
-                           {Fact(fx.r, {fx.C("b"), fx.C("n1")})})
-                    .ok());
-    Result<bool> degraded = session.streams().Degrade(first);
-    ASSERT_TRUE(degraded.ok());
-    EXPECT_TRUE(*degraded);
-    EXPECT_FALSE(
-        session.streams().DumpPersistState(first)->options.force_full_recheck);
-    ASSERT_TRUE(session.WriteSnapshot().ok());
-    const StreamId second = *session.RegisterStream(fx.stream_q);
-    ASSERT_TRUE(
-        session.Apply(Access{fx.ms, {}}, {Fact(fx.s_rel, {fx.C("n1")})}).ok());
-    EXPECT_EQ(session.streams().num_streams(), 1u);
-    Result<StreamDelta> d = session.PollAfter(second, 0);
-    ASSERT_TRUE(d.ok());
-    tail = d->events;
-    ASSERT_TRUE(session.Flush().ok());
-  }  // the "crash"
-
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  EXPECT_TRUE((*recovered)->recovery().from_snapshot);
-  RelevanceStreamRegistry& streams = (*recovered)->streams();
-  EXPECT_EQ(streams.num_streams(), 1u);
-  EXPECT_EQ(streams.num_subscriptions(), 2u);
-  Result<StreamDelta> got = (*recovered)->PollAfter(1, 0);
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->events.size(), tail.size());
-  for (size_t i = 0; i < tail.size(); ++i) {
-    EXPECT_EQ(got->events[i].sequence, tail[i].sequence) << i;
-    EXPECT_EQ(got->events[i].kind, tail[i].kind) << i;
-    EXPECT_TRUE(got->events[i].binding == tail[i].binding) << i;
-  }
-  ASSERT_TRUE((*recovered)->RegisterStream(fx.stream_q).ok());
-  EXPECT_EQ(streams.num_streams(), 1u);
-}
-
 // Satellite: JSON export must emit null for non-finite doubles (NaN/Inf
 // literals are invalid JSON and break strict parsers downstream).
 TEST(JsonWriterTest, NonFiniteDoublesRenderAsNull) {

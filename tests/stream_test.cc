@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "engine/engine.h"
+#include "obs/export.h"
 #include "query/eval.h"
 #include "query/parser.h"
 #include "relational/overlay.h"
@@ -302,9 +305,11 @@ TEST_F(StreamTest, SingleRelationApplyRechecksOnlyFootprintHitBindings) {
   StreamOptions sopts;  // IR-only
   StreamId sid = *registry.Register(uq, sopts);
 
-  const uint64_t bindings = engine.stats().stream_bindings;
+  MetricsExport metrics;
+  metrics.stats = engine.stats();
+  const uint64_t bindings = metrics.stats.stream_bindings;
   EXPECT_EQ(bindings, c0s.size() + 1)  // adom values + one fresh constant
-      << engine.stats().ToString();
+      << ExportMetricsJson(metrics);
   EngineStats base = engine.stats();
 
   // Footprint-disjoint apply (existing values: Adom fixed): zero bindings
@@ -1188,6 +1193,58 @@ TEST_F(StreamTest, SharedSubscriptionsReplayGapFreeFromOne) {
   EXPECT_EQ(registry.num_subscriptions(), 8u);
   EXPECT_TRUE(registry.DumpPersistState(later)->fresh_pool ==
               registry.DumpPersistState(creator)->fresh_pool);
+}
+
+// A poll from a cursor the retention cap has not yet passed returns the
+// events right after that cursor, never a later suffix: the horizon test
+// and the poll run under one hold of the stream mutex, so an apply landing
+// in between cannot turn an eviction into a silent gap.
+TEST_F(StreamTest, PollAfterNeverSkipsPastItsCursorUnderConcurrentEviction) {
+  SharedWorld w;
+  StreamOptions opts;
+  opts.retain_events = true;
+  opts.retain_cap = 2;
+  RelevanceEngine engine(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry registry(&engine);
+  const StreamId sid = *registry.Register(w.query, opts);
+
+  // Each apply extends an R-chain by a fresh value, minting a binding (and
+  // its events) past the cap.
+  constexpr int kApplies = 200;
+  std::atomic<bool> done{false};
+  std::thread applier([&] {
+    Value prev = w.V("a");
+    for (int i = 0; i < kApplies; ++i) {
+      const Value next = w.schema->InternConstant("c" + std::to_string(i));
+      EXPECT_TRUE(
+          engine.ApplyResponse(Access{w.mr, {prev}}, {Fact(w.r, {prev, next})})
+              .ok());
+      prev = next;
+    }
+    done.store(true);
+  });
+  uint64_t cursor = 0;
+  uint64_t polls = 0;
+  uint64_t evictions = 0;
+  uint64_t skipped = 0;
+  while (!done.load()) {
+    Result<StreamDelta> d = registry.PollAfter(sid, cursor);
+    ++polls;
+    if (!d.ok()) {
+      ASSERT_EQ(d.status().code(), StatusCode::kFailedPrecondition);
+      ++evictions;
+      cursor = registry.EvictedThrough(sid);
+      continue;
+    }
+    if (d->events.empty()) continue;
+    if (d->events.front().sequence != cursor + 1) ++skipped;
+    cursor = d->events.back().sequence;
+    ASSERT_TRUE(registry.Acknowledge(sid, cursor).ok());
+  }
+  applier.join();
+  EXPECT_EQ(skipped, 0u) << "of " << polls << " polls, " << evictions
+                         << " evicted";
+  EXPECT_GT(evictions, 0u);
 }
 
 TEST_F(StreamTest, RetentionCapEvictsOnlyTheLaggingSubscription) {
