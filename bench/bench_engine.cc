@@ -12,6 +12,8 @@
 // rate of the run.
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -267,6 +269,111 @@ void BM_Stream_Clique_Engine(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Stream_Clique_Engine);
+
+// ------------------------------------ binding-query scans (the check core)
+
+// One IR FirstRelevant scan per iteration over `n` accesses of a binding
+// query — the stream registry's per-binding recheck. Q :- R(k, Y),
+// S(Y, Z, W) with no R(k, _) fact: every access through R's method
+// (binding != k) is well-formed and not relevant, so each scan checks all
+// `n`. ScanAllHit re-scans a warm cache (every probe a hit). ScanStale
+// first lands one new S fact over existing values (outside the timed
+// region; (n+1)^3 distinct facts, so every iteration's is new), so every
+// probe finds its entry stale and re-decides it. `per_check` is time per
+// checked access.
+struct BindingScan {
+  explicit BindingScan(int n) {
+    schema = std::make_shared<rar::Schema>();
+    const rar::DomainId d = schema->AddDomain("D");
+    r = *schema->AddRelation("R", {{"a", d}, {"b", d}});
+    s = *schema->AddRelation("S", {{"a", d}, {"b", d}, {"c", d}});
+    const rar::RelationId t = *schema->AddRelation("T", {{"a", d}});
+    acs = std::make_unique<rar::AccessMethodSet>(schema.get());
+    const rar::AccessMethodId mr = *acs->Add("r_by_a", r, {0}, true);
+    ms = *acs->Add("s_by_a", s, {0}, true);
+    rar::Configuration conf(schema.get());
+    for (int i = 0; i <= n; ++i) {
+      values.push_back(schema->InternConstant("v" + std::to_string(i)));
+      conf.AddFact(rar::Fact(t, {values.back()}));
+    }
+    rar::ConjunctiveQuery cq;
+    const rar::VarId y = cq.AddVar("Y", d);
+    const rar::VarId z = cq.AddVar("Z", d);
+    const rar::VarId w = cq.AddVar("W", d);
+    cq.atoms.push_back(rar::Atom{r, {rar::Term::MakeConst(values[0]),
+                                     rar::Term::MakeVar(y)}});
+    cq.atoms.push_back(rar::Atom{s, {rar::Term::MakeVar(y),
+                                     rar::Term::MakeVar(z),
+                                     rar::Term::MakeVar(w)}});
+    rar::UnionQuery q;
+    q.disjuncts.push_back(std::move(cq));
+    EngineOptions opts;
+    opts.num_threads = 1;
+    engine = std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf),
+                                               opts);
+    qid = *engine->RegisterQuery(q);
+    for (int i = 1; i <= n; ++i) accesses.push_back(Access{mr, {values[i]}});
+  }
+
+  int Scan() {
+    return engine
+        ->FirstRelevant(qid, CheckKind::kImmediate, accesses.data(),
+                        accesses.size(),
+                        [](rar::AccessMethodId) { return true; }, true)
+        .index;
+  }
+
+  // Lands the next S(v_i, v_j, v_k) (existing values: the active domain
+  // stays).
+  void GrowFootprint() {
+    const size_t n = values.size();
+    const rar::Value a = values[next % n];
+    const rar::Value b = values[(next / n) % n];
+    const rar::Value c = values[(next / n / n) % n];
+    ++next;
+    (void)engine->ApplyResponse(Access{ms, {a}}, {rar::Fact(s, {a, b, c})});
+  }
+
+  std::shared_ptr<rar::Schema> schema;
+  std::unique_ptr<rar::AccessMethodSet> acs;
+  rar::RelationId r = 0, s = 0;
+  rar::AccessMethodId ms = 0;
+  std::vector<rar::Value> values;
+  std::unique_ptr<RelevanceEngine> engine;
+  QueryId qid = 0;
+  std::vector<Access> accesses;
+  size_t next = 0;
+};
+
+void ReportScan(benchmark::State& state, const BindingScan& scan) {
+  const double checks =
+      static_cast<double>(state.iterations()) * scan.accesses.size();
+  state.SetItemsProcessed(static_cast<int64_t>(checks));
+  state.counters["per_check"] = benchmark::Counter(
+      checks, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["hit_rate"] = scan.engine->stats().cache_hit_rate();
+}
+
+void BM_Engine_ScanAllHit(benchmark::State& state) {
+  BindingScan scan(static_cast<int>(state.range(0)));
+  scan.Scan();  // decide and cache every verdict
+  for (auto _ : state) benchmark::DoNotOptimize(scan.Scan());
+  ReportScan(state, scan);
+}
+BENCHMARK(BM_Engine_ScanAllHit)->Arg(64)->Arg(512);
+
+void BM_Engine_ScanStale(benchmark::State& state) {
+  BindingScan scan(static_cast<int>(state.range(0)));
+  scan.Scan();
+  for (auto _ : state) {
+    state.PauseTiming();
+    scan.GrowFootprint();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(scan.Scan());
+  }
+  ReportScan(state, scan);
+}
+BENCHMARK(BM_Engine_ScanStale)->Arg(64)->Arg(512);
 
 }  // namespace
 

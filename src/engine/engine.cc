@@ -11,6 +11,15 @@ namespace rar {
 
 namespace {
 
+// The IR search's buffers, one set per thread: every check a thread runs
+// reuses them, so the search allocates nothing once they have grown. A
+// check never runs another check on its thread (the deciders do not call
+// back into the engine), so one set suffices.
+IrScratch* ThreadIrScratch() {
+  thread_local IrScratch scratch;
+  return &scratch;
+}
+
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
@@ -70,6 +79,11 @@ RelevanceEngine::RelevanceEngine(const Schema& schema,
         conf_.adom_domain_version(static_cast<DomainId>(d)),
         std::memory_order_relaxed);
   }
+  method_stripes_.reserve(acs_.size());
+  for (AccessMethodId mid = 0; mid < acs_.size(); ++mid) {
+    method_stripes_.push_back(StripeBit(acs_.method(mid).relation));
+    method_relation_stripes_ |= method_stripes_.back();
+  }
   invalidations_by_relation_ =
       std::make_unique<std::atomic<uint64_t>[]>(num_relations_ + 1);
   for (size_t r = 0; r <= num_relations_; ++r) {
@@ -90,6 +104,18 @@ Result<QueryId> RelevanceEngine::RegisterQuery(const UnionQuery& query) {
   state->query = query;
   RAR_RETURN_NOT_OK(state->query.Validate(schema_));
   state->footprint = RelationFootprint::Of(state->query);
+  for (RelationId rel : state->footprint.relations) {
+    state->ir_stripes |= StripeBit(rel);
+  }
+  // With dependent methods in play, the LTR containment searches probe
+  // Contains() on any relation that has a method (auxiliary production
+  // facts of the witness chase), so those relations join the *lock*
+  // footprint. The verdict's cache stamp stays semantically footprint-
+  // narrow either way; with an all-independent ACS the lock footprint is
+  // exactly the semantic one.
+  state->ltr_stripes =
+      state->ir_stripes |
+      (acs_.AllIndependent() ? uint64_t{0} : method_relation_stripes_);
   state->seeds = QueryConstants(state->query, schema_);
   // Exclusive state lock: checks on already-registered ids read queries_
   // under the shared lock, and push_back may reallocate the vector.
@@ -372,58 +398,110 @@ const ConfigView& RelevanceEngine::SeededViewLocked(
   return *overlay;
 }
 
-VersionStamp RelevanceEngine::StampFor(const RelationFootprint& fp) const {
-  VersionStamp stamp;
-  if (!options_.footprint_invalidation) {
-    stamp.push_back(epoch());
-    return stamp;
-  }
-  stamp.reserve(fp.relations.size() + (fp.adom_sensitive ? 1 : 0));
-  for (RelationId rel : fp.relations) {
-    stamp.push_back(relation_version(rel));
-  }
-  if (fp.adom_sensitive) {
-    if (fp.adom_domains.empty()) {
-      stamp.push_back(adom_version_.load(std::memory_order_acquire));
-    } else {
-      // Domain-refined adom dependence: growth in an untracked domain
-      // leaves the stamp valid (see RelationFootprint::adom_domains).
-      for (DomainId d : fp.adom_domains) {
-        stamp.push_back(adom_domain_version(d));
+class RelevanceEngine::LiveStamp {
+ public:
+  /// The stamp of `fp`'s relations with `accessed` merged in (kInvalidId:
+  /// none), then the Adom version iff `adom_sensitive`. `fp` must outlive
+  /// it. (A query footprint never carries per-domain Adom refinements.)
+  LiveStamp(const RelevanceEngine& engine, const RelationFootprint& fp,
+            RelationId accessed, bool adom_sensitive)
+      : engine_(engine), fp_(fp),
+        global_(!engine.options_.footprint_invalidation) {
+    if (global_) {
+      size_ = 1;
+      return;
+    }
+    num_relations_ = fp.relations.size();
+    if (accessed != kInvalidId) {
+      auto it = std::lower_bound(fp.relations.begin(), fp.relations.end(),
+                                 accessed);
+      if (it == fp.relations.end() || *it != accessed) {
+        accessed_ = accessed;
+        merged_at_ = static_cast<size_t>(it - fp.relations.begin());
+        ++num_relations_;
       }
     }
+    size_ = num_relations_ + (adom_sensitive ? 1 : 0);
   }
-  return stamp;
-}
 
-size_t RelevanceEngine::StaleComponentTarget(
-    const RelationFootprint& fp, int component) const {
-  // The Adom slot doubles as "global" attribution in global-epoch mode.
-  if (!options_.footprint_invalidation) return num_relations_;
-  if (component >= 0 &&
-      static_cast<size_t>(component) < fp.relations.size()) {
-    return fp.relations[component];
+  size_t size() const { return size_; }
+
+  uint64_t operator[](size_t i) const {
+    if (global_) return engine_.epoch();
+    if (i < num_relations_) return engine_.relation_version(RelationAt(i));
+    return engine_.adom_version();
   }
-  return num_relations_;  // the trailing Adom component
-}
 
-std::vector<size_t> RelevanceEngine::StripesFor(
-    const RelationFootprint& fp) const {
-  std::vector<size_t> stripes;
-  stripes.reserve(fp.relations.size());
-  for (RelationId rel : fp.relations) stripes.push_back(StripeOf(rel));
-  std::sort(stripes.begin(), stripes.end());
-  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
-  return stripes;
-}
+  /// The relation a stale component stands for; the Adom slot (which
+  /// doubles as "global" attribution in global-epoch mode) is reported
+  /// as the engine's relation count.
+  size_t Target(int component) const {
+    if (global_ || component < 0 ||
+        static_cast<size_t>(component) >= num_relations_) {
+      return engine_.num_relations_;
+    }
+    return RelationAt(static_cast<size_t>(component));
+  }
 
-std::vector<std::shared_lock<std::shared_mutex>>
-RelevanceEngine::LockStripesShared(const std::vector<size_t>& stripes) const {
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(stripes.size());
-  for (size_t s : stripes) locks.emplace_back(stripe_mu_[s]);
-  return locks;
-}
+  /// True when `memo` holds exactly this stamp's components.
+  bool Equals(const VersionStamp& memo) const {
+    if (memo.size() != size_) return false;
+    for (size_t i = 0; i < size_; ++i) {
+      if (memo[i] != (*this)[i]) return false;
+    }
+    return true;
+  }
+
+  /// Overwrites `memo` with this stamp's components (in place: a memo of
+  /// the same length is not reallocated).
+  void CopyTo(VersionStamp* memo) const {
+    memo->resize(size_);
+    for (size_t i = 0; i < size_; ++i) (*memo)[i] = (*this)[i];
+  }
+
+ private:
+  RelationId RelationAt(size_t i) const {
+    if (accessed_ == kInvalidId || i < merged_at_) return fp_.relations[i];
+    return i == merged_at_ ? accessed_ : fp_.relations[i - 1];
+  }
+
+  const RelevanceEngine& engine_;
+  const RelationFootprint& fp_;
+  const bool global_;
+  RelationId accessed_ = kInvalidId;  ///< merged in; kInvalidId: none
+  size_t merged_at_ = 0;
+  size_t num_relations_ = 0;  ///< relation components
+  size_t size_ = 0;
+};
+
+class RelevanceEngine::SharedStripes {
+ public:
+  SharedStripes() = default;
+  SharedStripes(const RelevanceEngine& engine, uint64_t mask) {
+    Lock(engine, mask);
+  }
+  SharedStripes(const SharedStripes&) = delete;
+  SharedStripes& operator=(const SharedStripes&) = delete;
+  ~SharedStripes() {
+    for (uint64_t m = mask_; m != 0; m &= m - 1) {
+      stripes_[__builtin_ctzll(m)].unlock_shared();
+    }
+  }
+
+  /// Locks the mask's stripes shared, lowest stripe first (lock order).
+  /// At most once per object.
+  void Lock(const RelevanceEngine& engine, uint64_t mask) {
+    stripes_ = engine.stripe_mu_.data();
+    mask_ = mask;
+    for (uint64_t m = mask; m != 0; m &= m - 1) {
+      stripes_[__builtin_ctzll(m)].lock_shared();
+    }
+  }
+
+ private:
+  std::shared_mutex* stripes_ = nullptr;
+  uint64_t mask_ = 0;
+};
 
 bool RelevanceEngine::CertainLocked(QueryId id) {
   // Caller holds the query-footprint stripes (shared or exclusive);
@@ -434,20 +512,21 @@ bool RelevanceEngine::CertainLocked(QueryId id) {
     counters_.Bump(counters_.certainty_reuse);
     return true;
   }
-  VersionStamp stamp = StampFor(qs.footprint);
-  if (qs.checked_valid && qs.checked_stamp == stamp) {
+  const LiveStamp stamp(*this, qs.footprint, kInvalidId,
+                        qs.footprint.adom_sensitive);
+  if (qs.checked_valid && stamp.Equals(qs.checked_stamp)) {
     counters_.Bump(counters_.certainty_reuse);
     return false;
   }
   qs.certain = EvalBool(qs.query, conf_);
-  qs.checked_stamp = std::move(stamp);
+  stamp.CopyTo(&qs.checked_stamp);
   qs.checked_valid = true;
   return qs.certain;
 }
 
 bool RelevanceEngine::IsCertain(QueryId id) {
   std::shared_lock<std::shared_mutex> state(state_mu_);
-  auto stripes = LockStripesShared(StripesFor(queries_[id]->footprint));
+  SharedStripes stripes(*this, queries_[id]->ir_stripes);
   return CertainLocked(id);
 }
 
@@ -462,27 +541,18 @@ class RelevanceEngine::CheckLocks {
     adom_ = std::shared_lock<std::shared_mutex>(engine.adom_mu_);
   }
 
-  void PinStripes(const RelationFootprint& fp) {
-    stripes_ = engine_.LockStripesShared(engine_.StripesFor(fp));
-  }
+  void PinStripes(uint64_t mask) { stripes_.Lock(engine_, mask); }
 
  private:
   const RelevanceEngine& engine_;
   ActivityScope checking_;
   std::shared_lock<std::shared_mutex> state_;
   std::shared_lock<std::shared_mutex> adom_;
-  std::vector<std::shared_lock<std::shared_mutex>> stripes_;
+  SharedStripes stripes_;  ///< released first (declared last)
 };
 
 class RelevanceEngine::CheckScope {
  public:
-  /// One accessed relation's check footprint and its cache stamp.
-  struct Stamped {
-    RelationId accessed;
-    RelationFootprint fp;
-    VersionStamp stamp;
-  };
-
   CheckScope(RelevanceEngine* engine, QueryId id, CheckKind kind)
       : engine_(engine), id_(id), kind_(kind), qs_(*engine->queries_[id]),
         seed_overlay_(&engine->conf_) {}
@@ -507,21 +577,6 @@ class RelevanceEngine::CheckScope {
     return *view_;
   }
 
-  /// The footprint and stamp of a check of an access over `accessed`.
-  /// The reference is valid until the next call.
-  const Stamped& StampOf(RelationId accessed) {
-    for (const Stamped& s : stamped_) {
-      if (s.accessed == accessed) return s;
-    }
-    RelationFootprint fp =
-        kind_ == CheckKind::kImmediate
-            ? RelevanceAnalyzer::ImmediateFootprint(qs_.footprint, accessed)
-            : RelevanceAnalyzer::LongTermFootprint(qs_.footprint, accessed);
-    VersionStamp stamp = engine_->StampFor(fp);
-    stamped_.push_back(Stamped{accessed, std::move(fp), std::move(stamp)});
-    return stamped_.back();
-  }
-
  private:
   RelevanceEngine* engine_;
   const QueryId id_;
@@ -530,7 +585,6 @@ class RelevanceEngine::CheckScope {
   std::optional<bool> certain_;
   OverlayConfiguration seed_overlay_;
   const ConfigView* view_ = nullptr;
-  std::vector<Stamped> stamped_;
 };
 
 CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
@@ -587,14 +641,18 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
     return out;
   }
 
+  // The key borrows the access and is hashed once, for the probe and the
+  // insert; the stamp (the IR or LTR footprint of this access) is read in
+  // place from the version mirror, which the check locks hold still.
   const QueryState& qs = scope->qs();
-  DecisionKey key{id, kind, access.method, access.binding};
-  const CheckScope::Stamped* stamped = nullptr;
+  const DecisionKey key(id, kind, access);
+  const LiveStamp stamp(*this, qs.footprint,
+                        acs_.method(access.method).relation,
+                        /*adom_sensitive=*/!is_ir);
   uint64_t ep = 0;
   if (options_.enable_cache) {
-    stamped = &scope->StampOf(acs_.method(access.method).relation);
     ep = epoch();
-    DecisionCache::Probe probe = cache_.Lookup(key, stamped->stamp, ep);
+    const DecisionCache::Probe probe = cache_.Lookup(key, stamp, ep);
     if (probe.status == DecisionCache::ProbeStatus::kHit) {
       counters_.Bump(counters_.cache_hits);
       if (probe.hit.sticky) counters_.Bump(counters_.sticky_hits);
@@ -605,9 +663,8 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
     }
     if (probe.status == DecisionCache::ProbeStatus::kStale) {
       counters_.Bump(counters_.stale_invalidations);
-      size_t slot = StaleComponentTarget(stamped->fp, probe.stale_component);
-      invalidations_by_relation_[slot].fetch_add(1,
-                                                 std::memory_order_relaxed);
+      invalidations_by_relation_[stamp.Target(probe.stale_component)]
+          .fetch_add(1, std::memory_order_relaxed);
     }
   }
   counters_.Bump(counters_.cache_misses);
@@ -619,14 +676,17 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
     // the access well-formed at conf_ (so at the seeded view, whose Adom
     // only adds seeds) and the query not certain (certainty reads facts,
     // and the seeded view adds none).
-    out.relevant = HasImmediateWitness(view, acs_, access, qs.query);
+    out.relevant = HasImmediateWitness(view, acs_, access, qs.query,
+                                       ThreadIrScratch());
     const uint64_t decider_ns = MonotonicNs() - t0;
     counters_.Bump(counters_.uncached_ir_checks);
     counters_.Bump(counters_.ir_time_ns, decider_ns);
     obs_.ir_decider_ns.Record(decider_ns);
   } else {
+    // Likewise the LTR search alone: the deciders' own well-formedness
+    // and certainty gates would repeat what the gates above showed.
     Result<bool> r =
-        analyzer_.LongTerm(view, access, qs.query, options_.relevance);
+        analyzer_.LongTermSearch(view, access, qs.query, options_.relevance);
     const uint64_t decider_ns = MonotonicNs() - t0;
     counters_.Bump(counters_.uncached_ltr_checks);
     counters_.Bump(counters_.ltr_time_ns, decider_ns);
@@ -638,7 +698,7 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
     out.relevant = *r;
   }
   if (options_.enable_cache) {
-    cache_.Insert(key, out.relevant, /*sticky=*/false, stamped->stamp, ep);
+    cache_.Insert(key, out.relevant, /*sticky=*/false, stamp, ep);
   }
   return out;
 }
@@ -646,9 +706,7 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
 CheckOutcome RelevanceEngine::CheckOne(QueryId id, CheckKind kind,
                                        const Access& access) {
   CheckLocks locks(*this);
-  RelationFootprint fp = LockFootprint(id, kind);
-  AddAccessed(access, &fp);
-  locks.PinStripes(fp);
+  locks.PinStripes(QueryStripes(id, kind) | AccessedStripe(access));
   CheckScope scope(this, id, kind);
   return CheckLocked(&scope, access);
 }
@@ -663,29 +721,29 @@ CheckOutcome RelevanceEngine::CheckLongTerm(QueryId id, const Access& access) {
 
 RelevanceEngine::ScanOutcome RelevanceEngine::FirstRelevant(
     QueryId id, CheckKind kind, const Access* accesses, size_t count,
-    const std::function<bool(AccessMethodId)>& applicable,
-    bool conservative_on_unknown) {
+    MethodFilter applicable, bool conservative_on_unknown) {
   ScanOutcome result;
   // The filter runs before any lock, once per method: only the relations
-  // of admitted methods join the lock footprint.
-  std::vector<char> admitted(acs_.size(), 0);
-  RelationFootprint admitted_relations;
-  for (AccessMethodId mid = 0; mid < acs_.size(); ++mid) {
+  // of admitted methods join the lock mask. Admission of the first 64
+  // methods is kept in a mask; a later method is asked again per access.
+  uint64_t admitted = 0;
+  uint64_t admitted_stripes = 0;
+  for (AccessMethodId mid = 0; mid < method_stripes_.size(); ++mid) {
     if (!applicable(mid)) continue;
-    admitted[mid] = 1;
-    admitted_relations.Add(acs_.method(mid).relation);
+    if (mid < 64) admitted |= uint64_t{1} << mid;
+    admitted_stripes |= method_stripes_[mid];
   }
-  if (admitted_relations.relations.empty()) return result;
+  if (admitted_stripes == 0) return result;
+  auto is_admitted = [&](AccessMethodId mid) {
+    if (mid >= method_stripes_.size()) return false;
+    return mid < 64 ? ((admitted >> mid) & 1) != 0 : applicable(mid);
+  };
 
   CheckLocks locks(*this);
-  RelationFootprint fp = LockFootprint(id, kind);
-  for (RelationId rel : admitted_relations.relations) fp.Add(rel);
-  locks.PinStripes(fp);
+  locks.PinStripes(QueryStripes(id, kind) | admitted_stripes);
   CheckScope scope(this, id, kind);
   for (size_t i = 0; i < count; ++i) {
-    if (accesses[i].method >= acs_.size() || !admitted[accesses[i].method]) {
-      continue;
-    }
+    if (!is_admitted(accesses[i].method)) continue;
     const CheckOutcome out = CheckLocked(&scope, accesses[i]);
     const bool relevant =
         out.ok() ? out.relevant
@@ -709,9 +767,9 @@ std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
   if (accesses.empty()) return results;
 
   CheckLocks locks(*this);
-  RelationFootprint fp = LockFootprint(id, kind);
-  for (const Access& a : accesses) AddAccessed(a, &fp);
-  locks.PinStripes(fp);
+  uint64_t stripes = QueryStripes(id, kind);
+  for (const Access& a : accesses) stripes |= AccessedStripe(a);
+  locks.PinStripes(stripes);
   auto check = [&](size_t i) {
     CheckScope scope(this, id, kind);
     results[i] = CheckLocked(&scope, accesses[i]);
@@ -726,28 +784,6 @@ std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
   return results;
 }
 
-RelationFootprint RelevanceEngine::LockFootprint(QueryId id,
-                                                 CheckKind kind) const {
-  // The deciders read through ConfigView overlays (no structural copy of
-  // the configuration), so a check pins exactly the relations it reads:
-  // the query's relations plus each probed access's relation (added by
-  // the caller). LTR checks therefore overlap footprint-disjoint applies
-  // just like IR checks do.
-  RelationFootprint fp = queries_[id]->footprint;
-  // With dependent methods in play, the LTR containment searches probe
-  // Contains() on any relation that has a method (auxiliary production
-  // facts of the witness chase), so those relations join the *lock*
-  // footprint. The verdict's cache stamp stays semantically footprint-
-  // narrow either way; with an all-independent ACS the lock footprint is
-  // exactly the semantic one.
-  if (kind == CheckKind::kLongTerm && !acs_.AllIndependent()) {
-    for (AccessMethodId mid = 0; mid < acs_.size(); ++mid) {
-      fp.Add(acs_.method(mid).relation);
-    }
-  }
-  return fp;
-}
-
 double RelevanceEngine::ScoreAccess(QueryId id, const Access& access) const {
   // Pure cache probes — scoring must never trigger a decider. Stamps come
   // from the lock-free version mirror; a probe racing an apply can at
@@ -760,17 +796,13 @@ double RelevanceEngine::ScoreAccess(QueryId id, const Access& access) const {
   // Scoring probes drop (and must attribute) stale entries just like the
   // check path does.
   auto probe_attributed = [&](CheckKind kind) {
-    RelationFootprint fp =
-        kind == CheckKind::kImmediate
-            ? RelevanceAnalyzer::ImmediateFootprint(qs.footprint, m.relation)
-            : RelevanceAnalyzer::LongTermFootprint(qs.footprint, m.relation);
-    DecisionCache::Probe probe = cache_.Lookup(
-        DecisionKey{id, kind, access.method, access.binding}, StampFor(fp),
-        ep);
+    const LiveStamp stamp(*this, qs.footprint, m.relation,
+                          /*adom_sensitive=*/kind == CheckKind::kLongTerm);
+    DecisionCache::Probe probe =
+        cache_.Lookup(DecisionKey(id, kind, access), stamp, ep);
     if (probe.status == DecisionCache::ProbeStatus::kStale) {
       counters_.Bump(counters_.stale_invalidations);
-      invalidations_by_relation_[StaleComponentTarget(fp,
-                                                      probe.stale_component)]
+      invalidations_by_relation_[stamp.Target(probe.stale_component)]
           .fetch_add(1, std::memory_order_relaxed);
     }
     return probe;

@@ -27,8 +27,11 @@
 //    over a worker pool;
 //  * scans — `FirstRelevant` finds the first relevant access of a list
 //    under one acquisition of the check locks, deriving the query's
-//    certainty, seeded view and cache stamps once per scan (the stream
-//    registry's per-binding recheck);
+//    certainty and seeded view once per scan (the stream registry's
+//    per-binding recheck); a check allocates nothing on the heap: the
+//    lock footprint is a stripe mask fixed at registration, cache stamps
+//    are read in place from the version mirror, and the decision cache
+//    recycles its records;
 //  * scheduling — `CandidateAccesses` ranks the frontier by cached
 //    relevance and query criticality, so callers probe the most promising
 //    accesses first;
@@ -38,10 +41,10 @@
 #define RAR_ENGINE_ENGINE_H_
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <shared_mutex>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -189,15 +192,35 @@ struct CheckOutcome {
   bool ok() const { return status.ok(); }
 };
 
+/// \brief A non-owning reference to a `bool(AccessMethodId)` callable (two
+/// words: no heap, no copy of the callable, which must outlive the call).
+class MethodFilter {
+ public:
+  template <typename F, typename = std::enable_if_t<
+                            !std::is_same_v<std::decay_t<F>, MethodFilter>>>
+  MethodFilter(const F& f)  // NOLINT: implicit, like std::function
+      : callable_(&f), call_([](const void* c, AccessMethodId m) {
+          return static_cast<bool>((*static_cast<const F*>(c))(m));
+        }) {}
+
+  bool operator()(AccessMethodId m) const { return call_(callable_, m); }
+
+ private:
+  const void* callable_;
+  bool (*call_)(const void*, AccessMethodId);
+};
+
 /// \brief Long-lived relevance-checking runtime over an evolving
 /// configuration.
 ///
 /// Thread model (lock order: state_mu_ > adom_mu_ > stripes ascending >
 /// frontier_mu_ > leaf mutexes):
 ///  * Checks take `state_mu_` shared, `adom_mu_` shared, and the stripe
-///    locks of their footprint shared, once per call: one access
-///    (CheckImmediate / CheckLongTerm), a batch (CheckBatch) or a scan
-///    (FirstRelevant). LTR checks included: the deciders read
+///    locks of their footprint shared (a 64-bit stripe mask: the query's
+///    mask, fixed at RegisterQuery, or'd with each accessed method's
+///    stripe), once per call: one access (CheckImmediate / CheckLongTerm),
+///    a batch (CheckBatch) or a scan (FirstRelevant). LTR checks included:
+///    the deciders read
 ///    through ConfigView overlays (relational/overlay.h) instead of
 ///    copying the configuration, so they pin only the relations they read
 ///    (plus, under dependent methods, relations with methods — the
@@ -318,18 +341,22 @@ class RelevanceEngine {
   /// per-check counters are exactly those of calling CheckImmediate /
   /// CheckLongTerm on each admitted access in turn until one is relevant;
   /// but the scan takes the check locks once and derives the query's
-  /// certainty, seeded view and each accessed relation's cache stamp
-  /// once, so `overlapped_checks` and `certainty_reuse` count per scan.
-  /// It pins the query's relations, the relation of each admitted method
-  /// (never the others — a pending frontier spans every relation), and,
-  /// for LTR under dependent methods, every method relation. `applicable`
-  /// runs once per method, before any lock is taken, so the set-up does
-  /// not grow with `count`. The stream registry rechecks each binding
+  /// certainty and seeded view once, so `overlapped_checks` and
+  /// `certainty_reuse` count per scan. It pins the query's relations, the
+  /// relation of each admitted method (never the others — a pending
+  /// frontier spans every relation), and, for LTR under dependent
+  /// methods, every method relation. `applicable` runs once per method,
+  /// before any lock is taken, so the set-up does not grow with `count`.
+  /// The set-up allocates nothing (an admitted-method mask and a stripe
+  /// mask; methods beyond 64 are admitted per access), nor does a cache
+  /// hit or, once buffers have grown, a stale probe's IR recompute: the
+  /// insert reuses the released cache record and the IR search a
+  /// per-thread scratch. The stream registry rechecks each binding
   /// through this call.
-  ScanOutcome FirstRelevant(
-      QueryId id, CheckKind kind, const Access* accesses, size_t count,
-      const std::function<bool(AccessMethodId)>& applicable,
-      bool conservative_on_unknown);
+  ScanOutcome FirstRelevant(QueryId id, CheckKind kind,
+                            const Access* accesses, size_t count,
+                            MethodFilter applicable,
+                            bool conservative_on_unknown);
 
   /// Pending candidate accesses ranked for the query: cached-relevant
   /// first, then unknown (criticality-boosted when the accessed relation
@@ -362,8 +389,6 @@ class RelevanceEngine {
   /// Counter snapshot (safe to call while workers run). Attached apply
   /// listeners contribute their counters (the stream fields).
   EngineStats stats() const;
-
-  void ClearCache() { cache_.Clear(); }
 
   /// Attaches a listener notified after every successful ApplyResponse.
   void AddApplyListener(ApplyListener* listener);
@@ -406,9 +431,15 @@ class RelevanceEngine {
  private:
   struct QueryState {
     UnionQuery query;
-    /// Query relations (no accessed relation, not adom-sensitive); checks
-    /// extend it per access.
+    /// Query relations (no accessed relation, not adom-sensitive); a
+    /// check's footprint merges in the accessed relation (LiveStamp).
     RelationFootprint footprint;
+    /// Lock footprints as stripe masks, before accessed relations join:
+    /// the query's relations (IR, certainty), plus for LTR under
+    /// dependent methods every method relation (the witness chase probes
+    /// Contains() on them).
+    uint64_t ir_stripes = 0;
+    uint64_t ltr_stripes = 0;
     /// Constants the query mentions (typed by occurrence); any of them
     /// missing from the active domain is seeded onto the check-time view.
     std::vector<TypedValue> seeds;
@@ -420,53 +451,51 @@ class RelevanceEngine {
   /// RAII gauge for the overlap counters.
   class ActivityScope;
 
+  /// Shared locks on the stripes of a mask, taken in ascending stripe
+  /// order and released on destruction.
+  class SharedStripes;
+
   /// The check locks, in lock order: the activity gauge, state_mu_ and
-  /// adom_mu_ shared, then (PinStripes) the stripes of a lock footprint.
+  /// adom_mu_ shared, then (PinStripes) the stripes of a lock mask.
   class CheckLocks;
 
   /// What a run of checks for one (query, kind) derives once per
-  /// acquisition of the check locks: the query's certainty, its seeded
-  /// view and each accessed relation's footprint and cache stamp. All
-  /// three stay fixed while the locks are held — the stripes pin the
+  /// acquisition of the check locks: the query's certainty and its seeded
+  /// view. Both stay fixed while the locks are held — the stripes pin the
   /// footprint relations and adom_mu_ pins the active domain.
   class CheckScope;
 
-  /// Stripe index of one relation.
+  /// The validity stamp of a check (or of a certainty memo), read in
+  /// place from the version mirror rather than built: the query's
+  /// relations with the accessed relation merged in at its sorted
+  /// position, then (LTR) the Adom version — or, without footprint
+  /// invalidation, the global epoch alone. Under the footprint's stripes
+  /// (and adom_mu_) the components are stable.
+  class LiveStamp;
+
+  /// Stripe index of one relation, and its bit in a stripe mask.
   size_t StripeOf(RelationId rel) const { return rel % stripe_count_; }
+  uint64_t StripeBit(RelationId rel) const {
+    return uint64_t{1} << StripeOf(rel);
+  }
 
-  /// Sorted unique stripe indices covering a footprint's relations.
-  std::vector<size_t> StripesFor(const RelationFootprint& fp) const;
+  /// Stripe bit of the relation `access` reads (0 for an unknown method).
+  uint64_t AccessedStripe(const Access& access) const {
+    return access.method < method_stripes_.size()
+               ? method_stripes_[access.method]
+               : 0;
+  }
 
-  /// The lock footprint of a check before its accessed relations are
-  /// added (AddAccessed): the query's relations plus, for LTR under
-  /// dependent methods, every relation with a method (the witness chase
-  /// probes Contains() on them). Never all relations: the deciders read
-  /// through overlay views and copy nothing. Caller holds state_mu_.
-  RelationFootprint LockFootprint(QueryId id, CheckKind kind) const;
-
-  /// Adds the relation `access` reads to a lock footprint.
-  void AddAccessed(const Access& access, RelationFootprint* fp) const {
-    if (access.method < acs_.size()) {
-      fp->Add(acs_.method(access.method).relation);
-    }
+  /// The lock mask of a check before its accessed relations join: never
+  /// all relations — the deciders read through overlay views and copy
+  /// nothing. Caller holds state_mu_.
+  uint64_t QueryStripes(QueryId id, CheckKind kind) const {
+    const QueryState& qs = *queries_[id];
+    return kind == CheckKind::kImmediate ? qs.ir_stripes : qs.ltr_stripes;
   }
 
   /// CheckImmediate / CheckLongTerm: one access under its own locks.
   CheckOutcome CheckOne(QueryId id, CheckKind kind, const Access& access);
-
-  /// Acquires the given stripes shared, in ascending order.
-  std::vector<std::shared_lock<std::shared_mutex>> LockStripesShared(
-      const std::vector<size_t>& stripes) const;
-
-  /// Builds the validity stamp for a check over `fp` from the engine's
-  /// version mirror (atomics; callable with or without stripe locks —
-  /// under the footprint's stripes the result is stable).
-  VersionStamp StampFor(const RelationFootprint& fp) const;
-
-  /// Maps a stale stamp component back to a relation id (or to the Adom
-  /// slot, reported as `num_relations_`).
-  size_t StaleComponentTarget(const RelationFootprint& fp,
-                              int component) const;
 
   /// Absorbs a validated response under the relation's stripe lock; the
   /// caller holds state_mu_ shared and adom_mu_ (exclusive when the
@@ -506,8 +535,14 @@ class RelevanceEngine {
   RelevanceAnalyzer analyzer_;
   const size_t num_relations_;
   const size_t num_domains_;
-  /// One stripe per relation, capped at 64 (StripeOf hashes beyond it).
+  /// One stripe per relation, capped at 64 (StripeBit folds beyond it),
+  /// so a lock footprint fits one 64-bit mask.
   const size_t stripe_count_;
+  /// Stripe bit of each access method's relation, indexed by method id
+  /// (the method set is fixed once the engine is built).
+  std::vector<uint64_t> method_stripes_;
+  /// Stripes of every method relation (LTR under dependent methods).
+  uint64_t method_relation_stripes_ = 0;
 
   /// Structure lock: exclusive for whole-configuration operations
   /// (RegisterQuery, SnapshotConfig, construction); shared by checks *and*

@@ -119,8 +119,10 @@ class DurableSession : public PersistHook, public ApplyListener {
 
   // Reads pass straight through to the registry.
   StreamDelta Poll(StreamId id) { return registry_->Poll(id); }
-  Result<StreamDelta> PollAfter(StreamId id, uint64_t cursor) {
-    return registry_->PollAfter(id, cursor);
+  Result<StreamDelta> PollAfter(
+      StreamId id, uint64_t cursor,
+      RelevanceStreamRegistry::PollState* state = nullptr) {
+    return registry_->PollAfter(id, cursor, state);
   }
 
   /// Logged, durable subscriber acknowledgement: the cursor survives a

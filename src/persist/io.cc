@@ -307,7 +307,7 @@ Result<std::unique_ptr<WritableFile>> FaultInjectingEnv::NewWritableFile(
     const std::string& path, bool append) {
   RAR_ASSIGN_OR_RETURN(auto base, base_->NewWritableFile(path, append));
   const FaultPlan* plan = MatchPlan(path);
-  if (plan == nullptr) return std::move(base);
+  if (plan == nullptr) return base;
   return {std::unique_ptr<WritableFile>(
       new FaultWritableFile(std::move(base), *plan))};
 }
@@ -316,7 +316,7 @@ Result<std::unique_ptr<ReadableFile>> FaultInjectingEnv::NewReadableFile(
     const std::string& path) {
   RAR_ASSIGN_OR_RETURN(auto base, base_->NewReadableFile(path));
   const FaultPlan* plan = MatchPlan(path);
-  if (plan == nullptr) return std::move(base);
+  if (plan == nullptr) return base;
   return {std::unique_ptr<ReadableFile>(
       new FaultReadableFile(std::move(base), *plan))};
 }

@@ -39,7 +39,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(
                          env->NewWritableFile(segment_path, /*append=*/true));
     w->segment_path_ = segment_path;
   }
-  return std::move(w);
+  return w;
 }
 
 Status WalWriter::OpenSegmentLocked(uint64_t first_sequence) {

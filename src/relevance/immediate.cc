@@ -16,12 +16,15 @@ namespace {
 // first bound position — a constant, or a variable an earlier atom
 // assigned — so a binding query with its head constants substituted reads
 // only the facts that carry them. Bindings are undone through one trail;
-// the search allocates nothing per candidate.
+// the search works in the caller's IrScratch, so it allocates nothing per
+// candidate, and nothing at all once the scratch has grown.
 class IrSearch {
  public:
   IrSearch(const ConfigView& conf, const AccessMethod& method,
-           const Access& access)
-      : conf_(conf), method_(method), access_(access) {}
+           const Access& access, IrScratch* scratch)
+      : conf_(conf), method_(method), access_(access),
+        assignment_(scratch->assignment), assigned_(scratch->assigned),
+        trail_(scratch->trail) {}
 
   bool Run(const ConjunctiveQuery& d) {
     d_ = &d;
@@ -115,16 +118,17 @@ class IrSearch {
   const AccessMethod& method_;
   const Access& access_;
   const ConjunctiveQuery* d_ = nullptr;
-  std::vector<Value> assignment_;
-  std::vector<char> assigned_;
-  std::vector<VarId> trail_;  ///< variables bound, in binding order
+  std::vector<Value>& assignment_;
+  std::vector<char>& assigned_;
+  std::vector<VarId>& trail_;
 };
 
 }  // namespace
 
 bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
-                         const Access& access, const UnionQuery& query) {
-  IrSearch search(conf, acs.method(access.method), access);
+                         const Access& access, const UnionQuery& query,
+                         IrScratch* scratch) {
+  IrSearch search(conf, acs.method(access.method), access, scratch);
   for (const ConjunctiveQuery& d : query.disjuncts) {
     if (search.Run(d)) return true;
   }
@@ -136,7 +140,8 @@ bool IsImmediatelyRelevant(const ConfigView& conf,
                            const UnionQuery& query) {
   if (!CheckWellFormed(conf, acs, access).ok()) return false;
   if (EvalBool(query, conf)) return false;  // already certain
-  return HasImmediateWitness(conf, acs, access, query);
+  IrScratch scratch;
+  return HasImmediateWitness(conf, acs, access, query, &scratch);
 }
 
 }  // namespace rar

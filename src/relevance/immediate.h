@@ -17,11 +17,24 @@
 #ifndef RAR_RELEVANCE_IMMEDIATE_H_
 #define RAR_RELEVANCE_IMMEDIATE_H_
 
+#include <vector>
+
 #include "access/access_method.h"
 #include "query/query.h"
 #include "relational/configuration.h"
 
 namespace rar {
+
+/// \brief The IR search's working buffers: the variable assignment, its
+/// assigned flags and the undo trail. A caller deciding many accesses
+/// keeps one and passes it to each HasImmediateWitness call, so a search
+/// allocates nothing once the buffers have grown to the query's variable
+/// count. One per thread: a search overwrites it.
+struct IrScratch {
+  std::vector<Value> assignment;
+  std::vector<char> assigned;
+  std::vector<VarId> trail;  ///< variables bound, in binding order
+};
 
 /// Decides immediate relevance of `access` for the Boolean query at `conf`.
 /// Ill-formed accesses are never relevant (they cannot be performed).
@@ -33,9 +46,11 @@ bool IsImmediatelyRelevant(const ConfigView& conf,
 /// has an assignment witnessed by `conf` plus the access. Only meaningful
 /// when `access` is well-formed at `conf` and `query` is not certain there;
 /// the caller must already know both (the RelevanceEngine establishes them
-/// under its check locks before it calls this).
+/// under its check locks before it calls this). The search works in
+/// `scratch`, whose contents on entry do not matter.
 bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
-                         const Access& access, const UnionQuery& query);
+                         const Access& access, const UnionQuery& query,
+                         IrScratch* scratch);
 
 }  // namespace rar
 

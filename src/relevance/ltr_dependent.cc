@@ -27,14 +27,12 @@ bool AtomCompatibleWithAccess(const AccessMethodSet& acs, const Access& access,
   return true;
 }
 
-}  // namespace
-
-Result<bool> IsLongTermRelevantDependentCQ(const ConfigView& conf,
-                                           const AccessMethodSet& acs,
-                                           const Access& access,
-                                           const ConjunctiveQuery& query,
-                                           const ContainmentOptions& options) {
-  if (!CheckWellFormed(conf, acs, access).ok()) return false;
+// The Prop 3.5 subset search (no well-formedness gate).
+Result<bool> DependentCQSearch(const ConfigView& conf,
+                               const AccessMethodSet& acs,
+                               const Access& access,
+                               const ConjunctiveQuery& query,
+                               const ContainmentOptions& options) {
   if (!query.IsBoolean()) {
     return Status::InvalidArgument("Prop 3.5 algorithm needs a Boolean CQ");
   }
@@ -78,11 +76,11 @@ Result<bool> IsLongTermRelevantDependentCQ(const ConfigView& conf,
   return relevant;
 }
 
-Result<bool> IsLongTermRelevantDependentUCQ(
-    const ConfigView& conf, const AccessMethodSet& acs,
-    const Access& access, const UnionQuery& query,
-    const ContainmentOptions& options) {
-  if (!CheckWellFormed(conf, acs, access).ok()) return false;
+// The Prop 3.4 reduction to non-containment (no well-formedness gate).
+Result<bool> DependentUCQSearch(const ConfigView& conf,
+                                const AccessMethodSet& acs,
+                                const Access& access, const UnionQuery& query,
+                                const ContainmentOptions& options) {
   RAR_ASSIGN_OR_RETURN(
       LtrToContainmentInstance instance,
       BuildLtrToContainment(*acs.schema(), acs, conf, access, query,
@@ -101,20 +99,49 @@ Result<bool> IsLongTermRelevantDependentUCQ(
   return !decision.contained;
 }
 
+}  // namespace
+
+Result<bool> IsLongTermRelevantDependentCQ(const ConfigView& conf,
+                                           const AccessMethodSet& acs,
+                                           const Access& access,
+                                           const ConjunctiveQuery& query,
+                                           const ContainmentOptions& options) {
+  if (!CheckWellFormed(conf, acs, access).ok()) return false;
+  return DependentCQSearch(conf, acs, access, query, options);
+}
+
+Result<bool> IsLongTermRelevantDependentUCQ(
+    const ConfigView& conf, const AccessMethodSet& acs,
+    const Access& access, const UnionQuery& query,
+    const ContainmentOptions& options) {
+  if (!CheckWellFormed(conf, acs, access).ok()) return false;
+  return DependentUCQSearch(conf, acs, access, query, options);
+}
+
 Result<bool> IsLongTermRelevantDependentGeneral(
     const ConfigView& conf, const AccessMethodSet& acs,
     const Access& access, const UnionQuery& query,
     const ContainmentOptions& options) {
   if (!CheckWellFormed(conf, acs, access).ok()) return false;
+  // A certain query makes nothing relevant; the Boolean routes decide
+  // that inside their containment oracle.
+  if (!acs.IsBoolean(access.method) && EvalBool(query, conf)) return false;
+  return LongTermDependentSearch(conf, acs, access, query, options);
+}
+
+Result<bool> LongTermDependentSearch(const ConfigView& conf,
+                                     const AccessMethodSet& acs,
+                                     const Access& access,
+                                     const UnionQuery& query,
+                                     const ContainmentOptions& options) {
   if (acs.IsBoolean(access.method)) {
     if (query.disjuncts.size() == 1) {
-      return IsLongTermRelevantDependentCQ(conf, acs, access,
-                                           query.disjuncts[0], options);
+      return DependentCQSearch(conf, acs, access, query.disjuncts[0],
+                               options);
     }
-    return IsLongTermRelevantDependentUCQ(conf, acs, access, query, options);
+    return DependentUCQSearch(conf, acs, access, query, options);
   }
   const Schema& schema = *acs.schema();
-  if (EvalBool(query, conf)) return false;  // certain: nothing is relevant
 
   // A generic response tuple: binding on inputs, fresh nulls on outputs.
   const AccessMethod& m = acs.method(access.method);

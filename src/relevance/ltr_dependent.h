@@ -58,6 +58,18 @@ Result<bool> IsLongTermRelevantDependentGeneral(
     const Access& access, const UnionQuery& query,
     const ContainmentOptions& options = {});
 
+/// The search step of IsLongTermRelevantDependentGeneral alone, without
+/// its well-formedness and certainty gates (or those of the CQ / UCQ
+/// entries it dispatches to). Only meaningful when `access` is well-formed
+/// at `conf` and `query` is not certain there; the caller must already
+/// know both (the RelevanceEngine establishes them under its check locks
+/// before it calls this). Same verdict as the gated entry otherwise.
+Result<bool> LongTermDependentSearch(const ConfigView& conf,
+                                     const AccessMethodSet& acs,
+                                     const Access& access,
+                                     const UnionQuery& query,
+                                     const ContainmentOptions& options);
+
 }  // namespace rar
 
 #endif  // RAR_RELEVANCE_LTR_DEPENDENT_H_

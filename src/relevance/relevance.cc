@@ -7,6 +7,19 @@
 
 namespace rar {
 
+namespace {
+
+// The containment options of the dependent deciders: they only consume
+// the containment verdict, so witness construction (which materializes
+// the base) stays off the check path.
+ContainmentOptions VerdictOnly(const RelevanceOptions& options) {
+  ContainmentOptions copts = options.containment;
+  copts.build_witness = false;
+  return copts;
+}
+
+}  // namespace
+
 Result<bool> RelevanceAnalyzer::LongTerm(const ConfigView& conf,
                                          const Access& access,
                                          const UnionQuery& query,
@@ -16,22 +29,38 @@ Result<bool> RelevanceAnalyzer::LongTerm(const ConfigView& conf,
         "LongTerm expects a Boolean query; use LongTermKAry");
   }
   if (acs_.AllIndependent()) {
-    if (options.use_fast_paths && query.disjuncts.size() == 1) {
-      std::optional<bool> fast = LtrSingleOccurrenceFastPath(
-          conf, acs_, access, query.disjuncts[0]);
-      if (fast.has_value()) return *fast;
-    }
-    return IsLongTermRelevantIndependent(conf, acs_, access, query);
+    return LongTermIndependent(conf, access, query, options);
   }
   // Boolean accesses take the paper's Prop 3.5 / 3.4 route; accesses with
   // output attributes take the truncation-cut extension (exact except for
-  // the achievable-but-uncuttable corner, which reports an error). The
-  // deciders only consume the containment verdict, so witness
-  // construction (which materializes the base) stays off the check path.
-  ContainmentOptions copts = options.containment;
-  copts.build_witness = false;
+  // the achievable-but-uncuttable corner, which reports an error).
   return IsLongTermRelevantDependentGeneral(conf, acs_, access, query,
-                                            copts);
+                                            VerdictOnly(options));
+}
+
+Result<bool> RelevanceAnalyzer::LongTermSearch(
+    const ConfigView& conf, const Access& access, const UnionQuery& query,
+    const RelevanceOptions& options) const {
+  if (!query.IsBoolean()) {
+    return Status::InvalidArgument(
+        "LongTerm expects a Boolean query; use LongTermKAry");
+  }
+  if (acs_.AllIndependent()) {
+    return LongTermIndependent(conf, access, query, options);
+  }
+  return LongTermDependentSearch(conf, acs_, access, query,
+                                 VerdictOnly(options));
+}
+
+Result<bool> RelevanceAnalyzer::LongTermIndependent(
+    const ConfigView& conf, const Access& access, const UnionQuery& query,
+    const RelevanceOptions& options) const {
+  if (options.use_fast_paths && query.disjuncts.size() == 1) {
+    std::optional<bool> fast =
+        LtrSingleOccurrenceFastPath(conf, acs_, access, query.disjuncts[0]);
+    if (fast.has_value()) return *fast;
+  }
+  return IsLongTermRelevantIndependent(conf, acs_, access, query);
 }
 
 namespace {

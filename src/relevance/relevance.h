@@ -46,6 +46,16 @@ class RelevanceAnalyzer {
                         const UnionQuery& query,
                         const RelevanceOptions& options = {}) const;
 
+  /// LongTerm's search alone: under dependent methods it skips the
+  /// deciders' well-formedness and certainty gates
+  /// (LongTermDependentSearch). Only meaningful when `access` is
+  /// well-formed at `conf` and `query` is not certain there — the
+  /// RelevanceEngine's check core calls it after establishing both under
+  /// its check locks. Same verdict as LongTerm otherwise.
+  Result<bool> LongTermSearch(const ConfigView& conf, const Access& access,
+                              const UnionQuery& query,
+                              const RelevanceOptions& options) const;
+
   /// Prop 2.2: k-ary immediate relevance via head instantiation.
   Result<bool> ImmediateKAry(const ConfigView& conf, const Access& access,
                              const UnionQuery& query) const;
@@ -89,6 +99,13 @@ class RelevanceAnalyzer {
   }
 
  private:
+  /// LongTerm under an all-independent method set (the Prop 4.3 fast
+  /// path, then the Prop 4.5 engine); its gates are part of the search.
+  Result<bool> LongTermIndependent(const ConfigView& conf,
+                                   const Access& access,
+                                   const UnionQuery& query,
+                                   const RelevanceOptions& options) const;
+
   const Schema& schema_;
   const AccessMethodSet& acs_;
 };

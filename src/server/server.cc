@@ -400,14 +400,18 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     return "";
   }
 
-  Result<StreamDelta> delta = store_->PollAfter(sid, cursor);
+  // The poll reports the backlog and the eviction horizon it read under
+  // its own hold of the stream mutex: no second lookup, and the horizon
+  // named is the one that failed the poll.
+  RelevanceStreamRegistry::PollState polled;
+  Result<StreamDelta> delta = store_->PollAfter(sid, cursor, &polled);
   if (!delta.ok()) {
     if (delta.status().code() == StatusCode::kFailedPrecondition) {
       // Retention cap dropped events this cursor still needed: tell the
       // client where the horizon is so it can re-snapshot and resume.
       Bump(counters_.cursor_evictions);
       error->code = WireErrorCode::kCursorEvicted;
-      error->detail = store_->streams().EvictedThrough(sid);
+      error->detail = polled.evicted_through;
     } else {
       error->code = WireErrorCode::kBadRequest;
     }
@@ -415,7 +419,7 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     return "";
   }
   // The backlog gauge: what the retention cap (max_backlog_events) holds.
-  MaxInto(counters_.backlog_high_water, store_->streams().RetainedCount(sid));
+  MaxInto(counters_.backlog_high_water, polled.retained);
   return EncodePollResponse(engine().schema(), *delta);
 }
 

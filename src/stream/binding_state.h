@@ -172,7 +172,7 @@ struct StreamState {
   /// Extra relations the LTR verdicts read beyond a binding's footprint:
   /// with dependent methods in play, an access over *any* method relation
   /// can be LTR-relevant through a production chain (mirror of the
-  /// engine's LockFootprint widening); empty for IR-only streams and
+  /// engine's LTR lock mask); empty for IR-only streams and
   /// all-independent method sets.
   std::vector<RelationId> extra_relations;
 

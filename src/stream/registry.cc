@@ -15,8 +15,8 @@ namespace {
 // binding with footprint `fp`: an IR verdict can only come from an access
 // over the binding's own relations (response facts elsewhere never change
 // Q_b); same for LTR under an all-independent method set, while dependent
-// LTR may chain through any method relation. Shared by the wave's witness
-// batch and the full scan — the two must never diverge.
+// LTR may chain through any method relation. EvalBinding's scans ask it
+// once per method (RelevanceEngine::FirstRelevant).
 bool CheckApplicable(const AccessMethodSet& acs, const RelationFootprint& fp,
                      CheckKind kind, AccessMethodId method) {
   if (method >= acs.size()) return false;
@@ -271,6 +271,14 @@ void RestoreCursor(const StreamState& s, Subscription& sub,
   sub.acked = info.acked_sequence;
   sub.delivered = info.acked_sequence;
   sub.evicted = info.evicted_through;
+}
+
+// RetainedCount's body: the subscription's un-acknowledged, un-evicted
+// events. Caller holds `s.mu`.
+size_t RetainedLocked(const StreamState& s, const Subscription& sub) {
+  if (!s.options.retain_events) return 0;
+  return static_cast<size_t>(OwnLast(s, sub) -
+                             std::max(sub.acked, Horizon(s, sub)));
 }
 
 // Poll's body: hands out the subscription's events past its cursor (see
@@ -1427,7 +1435,11 @@ StreamDelta RelevanceStreamRegistry::Poll(StreamId id) {
 }
 
 Result<StreamDelta> RelevanceStreamRegistry::PollAfter(StreamId id,
-                                                       uint64_t cursor) {
+                                                       uint64_t cursor,
+                                                       PollState* state) {
+  PollState ignored;
+  if (state == nullptr) state = &ignored;
+  *state = PollState{};
   const SubscriptionRef ref = subscription(id);
   if (ref.stream == nullptr) return StreamDelta{};
   StreamState& s = *ref.stream;
@@ -1441,7 +1453,8 @@ Result<StreamDelta> RelevanceStreamRegistry::PollAfter(StreamId id,
     if (cursor < horizon) {
       // The retention cap dropped events past this cursor: the gap
       // cannot be filled. The subscriber must re-Snapshot for current
-      // state, then resume from the eviction horizon (EvictedThrough).
+      // state, then resume from the eviction horizon.
+      state->evicted_through = horizon;
       return Status::FailedPrecondition(
           "cursor evicted: retention cap dropped events through sequence " +
           std::to_string(horizon) + " (cursor " + std::to_string(cursor) +
@@ -1449,7 +1462,9 @@ Result<StreamDelta> RelevanceStreamRegistry::PollAfter(StreamId id,
     }
     if (cursor < sub.delivered) sub.delivered = cursor;
   }
-  return PollLocked(s, sub);
+  StreamDelta delta = PollLocked(s, sub);
+  state->retained = RetainedLocked(s, sub);
+  return delta;
 }
 
 Status RelevanceStreamRegistry::Acknowledge(StreamId id, uint64_t upto) {
@@ -1538,12 +1553,8 @@ std::vector<BindingView> RelevanceStreamRegistry::RelevantBindings(
 size_t RelevanceStreamRegistry::RetainedCount(StreamId id) const {
   const SubscriptionRef ref = subscription(id);
   if (ref.stream == nullptr) return 0;
-  const StreamState& s = *ref.stream;
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (!s.options.retain_events) return 0;
-  const Subscription& sub = *ref.sub;
-  return static_cast<size_t>(OwnLast(s, sub) -
-                             std::max(sub.acked, Horizon(s, sub)));
+  std::lock_guard<std::mutex> lock(ref.stream->mu);
+  return RetainedLocked(*ref.stream, *ref.sub);
 }
 
 uint64_t RelevanceStreamRegistry::EvictedThrough(StreamId id) const {

@@ -175,14 +175,27 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// lock, one stream mutex and no allocation.
   StreamDelta Poll(StreamId id);
 
+  /// What PollAfter read under its one hold of the stream mutex.
+  struct PollState {
+    /// The subscription's retained backlog after the poll (what
+    /// RetainedCount would read).
+    size_t retained = 0;
+    /// On a FailedPrecondition poll: the eviction horizon the cursor was
+    /// tested against (what EvictedThrough read at that moment).
+    uint64_t evicted_through = 0;
+  };
+
   /// Retained-mode Poll from an explicit cursor: rewinds the delivery
   /// cursor to `cursor` (when behind it) and re-delivers every retained
   /// event after it — the reconnect/recovery path (`PollAfter(acked)` is
   /// gap-free). Equivalent to Poll for non-retaining subscriptions. Fails
   /// with FailedPrecondition when the retention cap has evicted events
   /// past `cursor` (the gap cannot be filled — re-Snapshot, then resume
-  /// from `EvictedThrough`).
-  Result<StreamDelta> PollAfter(StreamId id, uint64_t cursor);
+  /// from the horizon, `state->evicted_through`). With `state`, also
+  /// reports the backlog and horizon it read, so a caller needs no second
+  /// lookup (a later EvictedThrough may already name a later horizon).
+  Result<StreamDelta> PollAfter(StreamId id, uint64_t cursor,
+                                PollState* state = nullptr);
 
   /// Confirms delivery through sequence `upto`: advances the acknowledged
   /// cursor (what snapshots persist) and releases the events no

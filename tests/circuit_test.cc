@@ -34,7 +34,7 @@ class CircuitTest : public ::testing::Test {
 
   // Evaluates a circuit output: builds Q = gates ∧ (out == expected) and
   // checks satisfiability over the truth tables.
-  bool OutputEquals(ConjunctiveQuery& cq, BoolCircuit& circuit, Term out,
+  bool OutputEquals(ConjunctiveQuery& cq, BoolCircuit& /*circuit*/, Term out,
                     bool expected) {
     ConjunctiveQuery probe = cq;
     BoolCircuit probe_circuit(&probe, and_, or_, eq_, zero_, one_);

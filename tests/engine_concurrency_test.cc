@@ -145,6 +145,95 @@ TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
             f.hidden.NumFacts());
 }
 
+// The decision cache under eviction pressure: a 16-entry cache serves
+// three threads of CheckBatch and FirstRelevant calls over every pending
+// access of several queries, so nearly every insert evicts and released
+// records are recycled while other threads probe. Between the concurrent
+// phases one thread grows the configuration, making cached entries stale.
+// Load-bearing assertions: every verdict equals the one an uncached twin
+// engine returns at the same configuration, evictions happen, and the run
+// is race-free (the TSan CI job builds this test).
+TEST(EngineConcurrencyTest, SmallCacheEvictsUnderConcurrentChecks) {
+  MultiRelationFamily f = MakeMultiRelationFamily(3, 12);
+  const Scenario& s = f.scenario;
+  EngineOptions opts;
+  opts.num_threads = 2;  // CheckBatch fans out inside each checker thread
+  opts.cache_capacity = 16;
+  RelevanceEngine engine(*s.schema, s.acs, s.conf, opts);
+  EngineOptions twin_opts = opts;
+  twin_opts.enable_cache = false;
+  RelevanceEngine twin(*s.schema, s.acs, s.conf, twin_opts);
+  std::vector<QueryId> qids;
+  for (const UnionQuery& q : f.queries) {
+    qids.push_back(*engine.RegisterQuery(q));
+    ASSERT_EQ(*twin.RegisterQuery(q), qids.back());
+  }
+  const std::vector<Access> pending = engine.PendingAccesses();
+  ASSERT_GE(pending.size(), 64u);
+  std::vector<GroupScript> scripts = BuildScripts(f);
+  const CheckKind kinds[2] = {CheckKind::kImmediate, CheckKind::kLongTerm};
+  auto admit_all = [](AccessMethodId) { return true; };
+
+  std::atomic<int> mismatches{0};
+  for (int round = 0; round < 4; ++round) {
+    // The twin's verdicts at this configuration, per (query, kind).
+    std::vector<std::vector<CheckOutcome>> want;
+    std::vector<int> want_first;
+    for (QueryId q : qids) {
+      for (CheckKind kind : kinds) {
+        want.push_back(twin.CheckBatch(q, kind, pending));
+        int first = -1;
+        for (size_t i = 0; i < pending.size() && first < 0; ++i) {
+          const CheckOutcome& o = want.back()[i];
+          if (o.ok() ? o.relevant : kind == CheckKind::kLongTerm) {
+            first = static_cast<int>(i);
+          }
+        }
+        want_first.push_back(first);
+      }
+    }
+    std::vector<std::thread> checkers;
+    for (int t = 0; t < 3; ++t) {
+      checkers.emplace_back([&, t]() {
+        Rng rng(100 * round + t);
+        for (int iter = 0; iter < 12; ++iter) {
+          const size_t q = rng.Below(qids.size());
+          const size_t k = rng.Below(2);
+          const size_t slot = 2 * q + k;
+          if (rng.Chance(0.5)) {
+            const std::vector<CheckOutcome> got =
+                engine.CheckBatch(qids[q], kinds[k], pending);
+            for (size_t i = 0; i < pending.size(); ++i) {
+              if (got[i].ok() != want[slot][i].ok() ||
+                  got[i].relevant != want[slot][i].relevant) {
+                mismatches.fetch_add(1);
+              }
+            }
+          } else if (engine
+                         .FirstRelevant(qids[q], kinds[k], pending.data(),
+                                        pending.size(), admit_all, true)
+                         .index != want_first[slot]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : checkers) t.join();
+    // Grow both engines alike (one hidden fact of each group).
+    for (const GroupScript& script : scripts) {
+      const auto& [access, response] =
+          script.steps[static_cast<size_t>(round) % script.steps.size()];
+      ASSERT_TRUE(engine.ApplyResponse(access, response).ok());
+      ASSERT_TRUE(twin.ApplyResponse(access, response).ok());
+    }
+  }
+  EXPECT_EQ(mismatches.load(), 0);
+  const EngineStats st = engine.stats();
+  EXPECT_GT(st.cache_evictions, 0u);
+  EXPECT_LE(st.cache_entries, 16u);
+  EXPECT_GT(st.cache_hits, 0u);
+}
+
 // Deterministic overlap: cached verdicts for group 0 survive a concurrent
 // burst of group-1 growth (disjoint footprint, existing values only),
 // while group-0 growth invalidates them.
@@ -940,7 +1029,9 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   const size_t num_relations = s.schema->num_relations();
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    if (i > 0) EXPECT_GT(e.seq, events[i - 1].seq);
+    if (i > 0) {
+      EXPECT_GT(e.seq, events[i - 1].seq);
+    }
     switch (e.kind) {
       case TraceEventKind::kApply:
         EXPECT_LT(e.id, num_relations);

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
+#include <list>
+#include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/decision_cache.h"
@@ -28,7 +32,8 @@ namespace {
 
 TEST(DecisionCacheTest, StampedEntriesExpireOnFootprintGrowth) {
   DecisionCache cache;
-  DecisionKey key{0, CheckKind::kImmediate, 0, {Value::Constant(1)}};
+  const Access access{0, {Value::Constant(1)}};
+  const DecisionKey key(0, CheckKind::kImmediate, access);
   // Footprint stamp: versions of the two footprint relations.
   cache.Insert(key, /*relevant=*/true, /*sticky=*/false, VersionStamp{3, 7},
                /*epoch=*/10);
@@ -55,7 +60,8 @@ TEST(DecisionCacheTest, StampedEntriesExpireOnFootprintGrowth) {
 
 TEST(DecisionCacheTest, StickyEntriesSurviveGrowth) {
   DecisionCache cache;
-  DecisionKey key{1, CheckKind::kLongTerm, 2, {}};
+  const Access access{2, {}};
+  const DecisionKey key(1, CheckKind::kLongTerm, access);
   cache.Insert(key, /*relevant=*/false, /*sticky=*/true, VersionStamp{0},
                /*epoch=*/0);
 
@@ -73,28 +79,14 @@ TEST(DecisionCacheTest, StickyEntriesSurviveGrowth) {
   EXPECT_FALSE(probe.hit.relevant);
 }
 
-TEST(DecisionCacheTest, EvictStaleKeepsCurrentAndSticky) {
-  DecisionCache cache;
-  cache.Insert(DecisionKey{0, CheckKind::kImmediate, 0, {}}, true, false,
-               VersionStamp{1}, 1);
-  cache.Insert(DecisionKey{0, CheckKind::kImmediate, 1, {}}, true, false,
-               VersionStamp{2}, 2);
-  cache.Insert(DecisionKey{0, CheckKind::kLongTerm, 0, {}}, false, true,
-               VersionStamp{0}, 0);
-  EXPECT_EQ(cache.size(), 3u);
-  // Current stamp is {2} for every key: only the {1}-stamped entry goes.
-  EXPECT_EQ(cache.EvictStale([](const DecisionKey&) {
-    return VersionStamp{2};
-  }),
-            1u);
-  EXPECT_EQ(cache.size(), 2u);
-}
-
 TEST(DecisionCacheTest, LruCapEvictsColdestEntries) {
   DecisionCache cache(/*capacity=*/2);
-  DecisionKey k0{0, CheckKind::kImmediate, 0, {}};
-  DecisionKey k1{0, CheckKind::kImmediate, 1, {}};
-  DecisionKey k2{0, CheckKind::kImmediate, 2, {}};
+  const Access a0{0, {}};
+  const Access a1{1, {}};
+  const Access a2{2, {}};
+  const DecisionKey k0(0, CheckKind::kImmediate, a0);
+  const DecisionKey k1(0, CheckKind::kImmediate, a1);
+  const DecisionKey k2(0, CheckKind::kImmediate, a2);
   cache.Insert(k0, true, false, VersionStamp{1}, 1);
   cache.Insert(k1, true, false, VersionStamp{1}, 1);
   // Touch k0 so k1 is the LRU tail when k2 overflows the cache.
@@ -109,6 +101,225 @@ TEST(DecisionCacheTest, LruCapEvictsColdestEntries) {
             DecisionCache::ProbeStatus::kHit);
   EXPECT_EQ(cache.Lookup(k2, VersionStamp{1}, 1).status,
             DecisionCache::ProbeStatus::kHit);
+}
+
+// The decision cache's contract, as the node-based cache it replaced
+// implemented it: a std::map owns keys and entries, a std::list keeps
+// recency (front = most recently used), stale entries are dropped on
+// lookup, and the LRU tail is evicted past capacity.
+class ReferenceDecisionCache {
+ public:
+  struct Key {
+    QueryId query;
+    CheckKind kind;
+    AccessMethodId method;
+    std::vector<Value> binding;
+
+    bool operator<(const Key& o) const {
+      if (query != o.query) return query < o.query;
+      if (kind != o.kind) return kind < o.kind;
+      if (method != o.method) return method < o.method;
+      return std::lexicographical_compare(
+          binding.begin(), binding.end(), o.binding.begin(), o.binding.end(),
+          [](const Value& a, const Value& b) {
+            return a.Packed() < b.Packed();
+          });
+    }
+  };
+
+  explicit ReferenceDecisionCache(size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  DecisionCache::Probe Lookup(const Key& key, const VersionStamp& stamp,
+                              uint64_t epoch) {
+    DecisionCache::Probe probe;
+    auto it = map_.find(key);
+    if (it == map_.end()) return probe;
+    Entry& e = it->second;
+    if (!e.sticky && e.stamp != stamp) {
+      probe.status = DecisionCache::ProbeStatus::kStale;
+      size_t n = std::min(e.stamp.size(), stamp.size());
+      size_t i = 0;
+      while (i < n && e.stamp[i] == stamp[i]) ++i;
+      probe.stale_component = static_cast<int>(i);
+      lru_.erase(e.lru_it);
+      map_.erase(it);
+      return probe;
+    }
+    probe.status = DecisionCache::ProbeStatus::kHit;
+    probe.hit = DecisionCache::Hit{e.relevant, e.sticky, e.epoch != epoch};
+    lru_.splice(lru_.begin(), lru_, e.lru_it);
+    return probe;
+  }
+
+  void Insert(const Key& key, bool relevant, bool sticky,
+              const VersionStamp& stamp, uint64_t epoch) {
+    auto it = map_.find(key);
+    if (it != map_.end()) {
+      Entry& e = it->second;
+      if (e.sticky && !sticky) return;
+      e.relevant = relevant;
+      e.sticky = sticky;
+      e.stamp = stamp;
+      e.epoch = epoch;
+      lru_.splice(lru_.begin(), lru_, e.lru_it);
+      return;
+    }
+    auto slot = map_.emplace(key, Entry{relevant, sticky, stamp, epoch, {}})
+                    .first;
+    lru_.push_front(&slot->first);
+    slot->second.lru_it = lru_.begin();
+    while (map_.size() > capacity_) {
+      const Key* coldest = lru_.back();
+      lru_.pop_back();
+      map_.erase(*coldest);
+      ++evictions_;
+    }
+  }
+
+  size_t size() const { return map_.size(); }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    bool relevant;
+    bool sticky;
+    VersionStamp stamp;
+    uint64_t epoch;
+    std::list<const Key*>::iterator lru_it;
+  };
+
+  size_t capacity_;
+  uint64_t evictions_ = 0;
+  std::list<const Key*> lru_;
+  std::map<Key, Entry> map_;
+};
+
+// Seeded random Lookup/Insert sequences over ~64 keys must leave the cache
+// and the reference model in the same state after every call: same probe
+// (status, stale component, verdict flags), same size, same evictions.
+// Keys include pairs that differ only in binding order, kind or method,
+// and two keys whose hashes agree in the low 32 bits — everything a table
+// slot keeps — so only the full key compare tells them apart.
+TEST(DecisionCacheTest, MatchesReferenceModel) {
+  std::deque<Access> accesses;  // stable storage the keys borrow
+  struct KeySpec {
+    QueryId query;
+    CheckKind kind;
+    const Access* access;
+    size_t stamp_len;
+  };
+  std::vector<KeySpec> specs;
+  Rng rng(20261019);
+  auto add = [&](QueryId q, CheckKind kind, Access a) {
+    accesses.push_back(std::move(a));
+    specs.push_back(KeySpec{q, kind, &accesses.back(),
+                            static_cast<size_t>(rng.Range(1, 4))});
+  };
+  auto random_binding = [&](size_t len) {
+    std::vector<Value> b;
+    for (size_t i = 0; i < len; ++i) {
+      b.push_back(Value::Constant(static_cast<uint32_t>(rng.Range(1, 5))));
+    }
+    return b;
+  };
+  while (specs.size() < 48) {
+    const QueryId q = static_cast<QueryId>(rng.Below(3));
+    const CheckKind kind =
+        rng.Chance(0.5) ? CheckKind::kImmediate : CheckKind::kLongTerm;
+    const AccessMethodId m = static_cast<AccessMethodId>(rng.Below(3));
+    const size_t len = static_cast<size_t>(rng.Range(0, 3));
+    std::vector<Value> binding = random_binding(len);
+    add(q, kind, Access{m, binding});
+    switch (rng.Below(4)) {
+      case 0:  // reversed binding order
+        if (len >= 2 && binding.front() != binding.back()) {
+          std::vector<Value> rev(binding.rbegin(), binding.rend());
+          add(q, kind, Access{m, rev});
+        }
+        break;
+      case 1:  // other kind
+        add(q,
+            kind == CheckKind::kImmediate ? CheckKind::kLongTerm
+                                          : CheckKind::kImmediate,
+            Access{m, binding});
+        break;
+      case 2:  // other method
+        add(q, kind, Access{static_cast<AccessMethodId>(m + 3), binding});
+        break;
+      default:
+        break;
+    }
+  }
+  // A pair of distinct keys whose hashes share their low 32 bits.
+  {
+    std::unordered_map<uint32_t, uint32_t> seen;
+    for (uint32_t i = 0;; ++i) {
+      const Access a{7, {Value::Constant(i & 0xffff),
+                         Value::Constant(i >> 16)}};
+      const uint32_t tag = static_cast<uint32_t>(
+          DecisionKey(9, CheckKind::kImmediate, a).hash);
+      auto [it, fresh] = seen.emplace(tag, i);
+      if (fresh) continue;
+      const uint32_t j = it->second;
+      add(9, CheckKind::kImmediate,
+          Access{7, {Value::Constant(j & 0xffff), Value::Constant(j >> 16)}});
+      add(9, CheckKind::kImmediate, a);
+      break;
+    }
+  }
+  ASSERT_GE(specs.size(), 50u);
+  ASSERT_LE(specs.size(), 80u);
+
+  for (size_t capacity :
+       {size_t{1}, size_t{2}, size_t{7}, DecisionCache::kDefaultCapacity}) {
+    DecisionCache cache(capacity);
+    ReferenceDecisionCache model(capacity);
+    // The current footprint versions of each key, and the global epoch.
+    std::vector<VersionStamp> current;
+    for (const KeySpec& k : specs) current.emplace_back(k.stamp_len, 1);
+    uint64_t epoch = 1;
+    size_t stale_seen = 0;
+    size_t hits_seen = 0;
+    for (int step = 0; step < 12000; ++step) {
+      if (rng.Chance(0.15)) {  // growth: bump one component of one key
+        VersionStamp& st = current[rng.Below(current.size())];
+        ++st[rng.Below(st.size())];
+        ++epoch;
+      }
+      const size_t ki = rng.Below(specs.size());
+      const KeySpec& k = specs[ki];
+      const DecisionKey key(k.query, k.kind, *k.access);
+      const ReferenceDecisionCache::Key ref_key{
+          k.query, k.kind, k.access->method, k.access->binding};
+      if (rng.Chance(0.5)) {
+        const DecisionCache::Probe got = cache.Lookup(key, current[ki], epoch);
+        const DecisionCache::Probe want =
+            model.Lookup(ref_key, current[ki], epoch);
+        ASSERT_EQ(got.status, want.status) << "step " << step;
+        ASSERT_EQ(got.stale_component, want.stale_component) << step;
+        ASSERT_EQ(got.hit.relevant, want.hit.relevant) << step;
+        ASSERT_EQ(got.hit.sticky, want.hit.sticky) << step;
+        ASSERT_EQ(got.hit.cross_epoch, want.hit.cross_epoch) << step;
+        stale_seen += got.status == DecisionCache::ProbeStatus::kStale;
+        hits_seen += got.status == DecisionCache::ProbeStatus::kHit;
+      } else {
+        const bool relevant = rng.Chance(0.5);
+        const bool sticky = rng.Chance(0.1);
+        VersionStamp stamp = current[ki];
+        if (rng.Chance(0.2)) --stamp[rng.Below(stamp.size())];  // older
+        cache.Insert(key, relevant, sticky, stamp, epoch);
+        model.Insert(ref_key, relevant, sticky, stamp, epoch);
+      }
+      ASSERT_EQ(cache.size(), model.size()) << "step " << step;
+      ASSERT_EQ(cache.evictions(), model.evictions()) << "step " << step;
+    }
+    EXPECT_GT(stale_seen, 0u) << "capacity " << capacity;
+    EXPECT_GT(hits_seen, 0u) << "capacity " << capacity;
+    if (capacity < specs.size()) {
+      EXPECT_GT(cache.evictions(), 0u) << "capacity " << capacity;
+    }
+  }
 }
 
 // -------------------------------------------------------- version vectors

@@ -410,7 +410,9 @@ TEST(TraceTest, ConcurrentWritersNeverTearSlots) {
   for (size_t i = 0; i < events.size(); ++i) {
     EXPECT_EQ(events[i].b, ~events[i].a);
     EXPECT_LT(events[i].id, static_cast<uint32_t>(kThreads));
-    if (i > 0) EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+    if (i > 0) {
+      EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+    }
   }
 }
 

@@ -152,7 +152,7 @@ TEST_P(PropertyTest, IndexedIRMatchesBruteForceOnDenseScenarios) {
     // (b) binding query: head on a variable that occurs, bound to an
     // active-domain value.
     std::vector<VarId> occurring;
-    for (VarId v = 0; v < cq.num_vars(); ++v) {
+    for (VarId v = 0; v < static_cast<VarId>(cq.num_vars()); ++v) {
       if (cq.VarOccurs(v)) occurring.push_back(v);
     }
     if (!occurring.empty()) {
@@ -407,7 +407,9 @@ TEST_P(PropertyTest, CertainQueriesAdmitNoRelevantAccess) {
     if (!RandomAccess(&rng, s, &access)) continue;
     EXPECT_FALSE(analyzer.Immediate(s.conf, access, q));
     auto ltr = analyzer.LongTerm(s.conf, access, q);
-    if (ltr.ok()) EXPECT_FALSE(*ltr);
+    if (ltr.ok()) {
+      EXPECT_FALSE(*ltr);
+    }
   }
 }
 

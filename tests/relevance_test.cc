@@ -226,7 +226,7 @@ TEST_F(RelevanceTest, FastPathAgreesWithGeneralEngine) {
       ConjunctiveQuery cq = CQ(qt);
       UnionQuery uq;
       uq.disjuncts.push_back(cq);
-      for (const std::string& b : {"a", "b", "z"}) {
+      for (const char* b : {"a", "b", "z"}) {
         Access access{r_any, {C(b)}};
         auto fast = LtrSingleOccurrenceFastPath(conf, acs, access, cq);
         ASSERT_TRUE(fast.has_value()) << qt;

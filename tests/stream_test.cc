@@ -114,7 +114,9 @@ void ExpectStreamParity(RelevanceEngine& engine,
     }
     EXPECT_EQ(b.relevant, expect_relevant)
         << where << " binding relevant mismatch";
-    if (b.relevant) EXPECT_TRUE(b.has_witness) << where;
+    if (b.relevant) {
+      EXPECT_TRUE(b.has_witness) << where;
+    }
   }
 
   // Stream-level verdict == fresh one-shot k-ary calls (Prop 2.2's OR
@@ -153,7 +155,7 @@ class StreamTest : public ::testing::Test {
 TEST_F(StreamTest, InstantiatorDedupesRepeatedHeadPositions) {
   Schema schema;
   DomainId d = schema.AddDomain("D");
-  RelationId r = *schema.AddRelation("R", std::vector<DomainId>{d, d});
+  (void)*schema.AddRelation("R", std::vector<DomainId>{d, d});
   ConjunctiveQuery q = *ParseCQ(schema, "R(X, Y)");
   VarId y = 0;
   for (int v = 0; v < q.num_vars(); ++v) {
@@ -1245,6 +1247,65 @@ TEST_F(StreamTest, PollAfterNeverSkipsPastItsCursorUnderConcurrentEviction) {
   EXPECT_EQ(skipped, 0u) << "of " << polls << " polls, " << evictions
                          << " evicted";
   EXPECT_GT(evictions, 0u);
+}
+
+// A failed PollAfter reports the horizon it tested, read under the same
+// hold of the stream mutex as the test itself: the status message names
+// that horizon too, so the two must agree even while a concurrent wave
+// moves the horizon on. A successful one reports the backlog it left.
+TEST_F(StreamTest, PollAfterReportsTheHorizonItTested) {
+  SharedWorld w;
+  StreamOptions opts;
+  opts.retain_events = true;
+  opts.retain_cap = 2;
+  RelevanceEngine engine(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry registry(&engine);
+  const StreamId sid = *registry.Register(w.query, opts);
+
+  constexpr int kApplies = 200;
+  std::atomic<bool> done{false};
+  std::thread applier([&] {
+    Value prev = w.V("a");
+    for (int i = 0; i < kApplies; ++i) {
+      const Value next = w.schema->InternConstant("h" + std::to_string(i));
+      EXPECT_TRUE(
+          engine.ApplyResponse(Access{w.mr, {prev}}, {Fact(w.r, {prev, next})})
+              .ok());
+      prev = next;
+    }
+    done.store(true);
+  });
+  // Never acknowledging from cursor 0: once the cap evicts, every poll
+  // fails against the horizon of that moment.
+  uint64_t evictions = 0;
+  uint64_t last_horizon = 0;
+  while (!done.load()) {
+    RelevanceStreamRegistry::PollState state;
+    Result<StreamDelta> d = registry.PollAfter(sid, 0, &state);
+    if (d.ok()) {
+      EXPECT_EQ(state.evicted_through, 0u);
+      EXPECT_LE(state.retained, opts.retain_cap);
+      continue;
+    }
+    ASSERT_EQ(d.status().code(), StatusCode::kFailedPrecondition);
+    ++evictions;
+    ASSERT_GT(state.evicted_through, 0u);
+    EXPECT_GE(state.evicted_through, last_horizon);
+    last_horizon = state.evicted_through;
+    const std::string named =
+        "through sequence " + std::to_string(state.evicted_through) + " ";
+    EXPECT_NE(d.status().message().find(named), std::string::npos)
+        << d.status().ToString();
+  }
+  applier.join();
+  EXPECT_GT(evictions, 0u);
+
+  // Quiesced: the reported backlog is RetainedCount's.
+  const uint64_t horizon = registry.EvictedThrough(sid);
+  RelevanceStreamRegistry::PollState state;
+  ASSERT_TRUE(registry.PollAfter(sid, horizon, &state).ok());
+  EXPECT_EQ(state.retained, registry.RetainedCount(sid));
+  EXPECT_EQ(state.retained, opts.retain_cap);
 }
 
 TEST_F(StreamTest, RetentionCapEvictsOnlyTheLaggingSubscription) {
