@@ -873,7 +873,8 @@ std::unordered_set<DomainId> RelevanceEngine::producible_domains() {
 }
 
 EngineStats RelevanceEngine::stats() const {
-  EngineStats s = counters_.Snapshot();
+  EngineStats s;
+  counters_.FoldInto(&s);
   s.cache_entries = cache_.size();
   s.cache_evictions = cache_.evictions();
   s.invalidations_by_relation.resize(num_relations_ + 1);

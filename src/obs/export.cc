@@ -150,140 +150,36 @@ std::string JsonWriter::Escape(const std::string& s) {
 
 // --------------------------------------------------- shared metric rows
 //
-// Both renderers walk these tables, so a metric added here shows up in
-// JSON and Prometheus simultaneously — the "cannot drift" contract.
+// Both renderers walk these rows, generated from the metric table
+// (obs/metrics.h), so a metric shows up in JSON and Prometheus together.
 
 namespace {
 
+enum class MetricKind { kCounter, kGauge };
+
 struct CounterRow {
   const char* name;
-  uint64_t value;
-  bool gauge;  ///< current level rather than a monotone total
+  uint64_t EngineStats::*member;
+  MetricKind kind;
+  const char* help;
 };
 
-std::vector<CounterRow> EngineRows(const EngineStats& s) {
-  return {
-      {"ir_checks", s.ir_checks, false},
-      {"ltr_checks", s.ltr_checks, false},
-      {"uncached_ir_checks", s.uncached_ir_checks, false},
-      {"uncached_ltr_checks", s.uncached_ltr_checks, false},
-      {"cache_hits", s.cache_hits, false},
-      {"cache_misses", s.cache_misses, false},
-      {"sticky_hits", s.sticky_hits, false},
-      {"cross_epoch_hits", s.cross_epoch_hits, false},
-      {"stale_invalidations", s.stale_invalidations, false},
-      {"wf_rejections", s.wf_rejections, false},
-      {"certainty_reuse", s.certainty_reuse, false},
-      {"producible_reuse", s.producible_reuse, false},
-      {"producible_recomputes", s.producible_recomputes, false},
-      {"epoch_advances", s.epoch_advances, false},
-      {"adom_advances", s.adom_advances, false},
-      {"facts_applied", s.facts_applied, false},
-      {"responses_applied", s.responses_applied, false},
-      {"overlapped_applies", s.overlapped_applies, false},
-      {"overlapped_checks", s.overlapped_checks, false},
-      {"batch_calls", s.batch_calls, false},
-      {"batch_items", s.batch_items, false},
-      {"ir_time_ns", s.ir_time_ns, false},
-      {"ltr_time_ns", s.ltr_time_ns, false},
-      {"cache_entries", s.cache_entries, true},
-      {"cache_evictions", s.cache_evictions, false},
-      {"frontier_pending", s.frontier_pending, true},
-      {"frontier_performed", s.frontier_performed, true},
-  };
-}
-
-std::vector<CounterRow> StreamRows(const EngineStats& s) {
-  return {
-      {"registered", s.streams_registered, true},
-      {"subscriptions", s.stream_subscriptions, true},
-      {"bindings", s.stream_bindings, true},
-      {"new_bindings", s.stream_new_bindings, false},
-      {"rechecks", s.stream_rechecks, false},
-      {"skips", s.stream_skips, false},
-      {"sticky_skips", s.stream_sticky_skips, false},
-      {"events", s.stream_events, false},
-      {"value_gate_skips", s.stream_value_gate_skips, false},
-      {"value_gate_fallback_adom", s.stream_value_gate_fallback_adom, false},
-      {"value_gate_fallback_dependent_ltr",
-       s.stream_value_gate_fallback_dependent_ltr, false},
-      {"value_gate_fallback_unconstrained",
-       s.stream_value_gate_fallback_unconstrained, false},
-      {"value_gate_semijoin_rechecks", s.stream_value_gate_semijoin, false},
-      {"value_gate_newborn_rechecks", s.stream_value_gate_newborn, false},
-      {"retained_evicted", s.stream_retained_evicted, false},
-  };
-}
-
-std::vector<CounterRow> ServerRows(const EngineStats& s) {
-  return {
-      {"sessions_opened", s.server_sessions_opened, false},
-      {"sessions_resumed", s.server_sessions_resumed, false},
-      {"sessions_retired", s.server_sessions_retired, false},
-      {"sessions_reaped", s.server_sessions_reaped, false},
-      {"sessions_shed", s.server_sessions_shed, false},
-      {"sessions_active", s.server_sessions_active, true},
-      {"requests", s.server_requests, false},
-      {"requests_hello", s.server_requests_hello, false},
-      {"requests_register_query", s.server_requests_register_query, false},
-      {"requests_register_stream", s.server_requests_register_stream, false},
-      {"requests_apply", s.server_requests_apply, false},
-      {"requests_poll", s.server_requests_poll, false},
-      {"requests_acknowledge", s.server_requests_acknowledge, false},
-      {"requests_snapshot", s.server_requests_snapshot, false},
-      {"requests_metrics", s.server_requests_metrics, false},
-      {"requests_ping", s.server_requests_ping, false},
-      {"errors", s.server_errors, false},
-      {"bad_frames", s.server_bad_frames, false},
-      {"applies_shed", s.server_applies_shed, false},
-      {"cursor_evictions", s.server_cursor_evictions, false},
-      {"backlog_high_water", s.server_backlog_high_water, true},
-      {"dedup_hits", s.server_dedup_hits, false},
-      {"dedup_stale", s.server_dedup_stale, false},
-      {"deadline_rejections", s.server_deadline_rejections, false},
-      {"drain_sheds", s.server_drain_sheds, false},
-      {"sessions_recovered", s.server_sessions_recovered, false},
-  };
-}
-
-std::vector<CounterRow> PersistRows(const EngineStats& s) {
-  return {
-      {"wal_records", s.wal_records, false},
-      {"wal_bytes", s.wal_bytes, false},
-      {"wal_fsyncs", s.wal_fsyncs, false},
-      {"wal_commit_batches", s.wal_commit_batches, false},
-      {"wal_commit_waiters", s.wal_commit_waiters, false},
-      {"snapshots_written", s.snapshots_written, false},
-      {"snapshot_bytes", s.snapshot_bytes, true},
-      {"replay_records", s.replay_records, false},
-      {"replay_facts", s.replay_facts, false},
-      {"wal_truncated_tails", s.wal_truncated_tails, false},
-  };
-}
-
-struct HistRow {
+struct HistogramRow {
   const char* name;
-  const HistogramSnapshot* h;
+  HistogramSnapshot ObsSnapshot::*member;
+  const char* help;
 };
 
-std::vector<HistRow> HistRows(const ObsSnapshot& o) {
-  return {
-      {"ir_decider_ns", &o.ir_decider_ns},
-      {"ltr_decider_ns", &o.ltr_decider_ns},
-      {"apply_ns", &o.apply_ns},
-      {"batch_ns", &o.batch_ns},
-      {"wave_ns", &o.wave_ns},
-      {"wave_width", &o.wave_width},
-      {"queue_wait_ns", &o.queue_wait_ns},
-      {"source_ns", &o.source_ns},
-      {"wal_fsync_ns", &o.wal_fsync_ns},
-      {"wal_commit_ns", &o.wal_commit_ns},
-      {"server_request_ns", &o.server_request_ns},
-      {"server_apply_ns", &o.server_apply_ns},
-      {"server_poll_ns", &o.server_poll_ns},
-      {"server_register_ns", &o.server_register_ns},
-  };
-}
+#define RAR_COUNTER_ROW(member, name, kind, backing, help) \
+  {name, &EngineStats::member, MetricKind::k##kind, help},
+#define RAR_HISTOGRAM_ROW(member, help) {#member, &ObsSnapshot::member, help},
+
+constexpr CounterRow kEngineRows[] = {RAR_ENGINE_METRICS(RAR_COUNTER_ROW)};
+constexpr CounterRow kStreamRows[] = {RAR_STREAM_METRICS(RAR_COUNTER_ROW)};
+constexpr CounterRow kPersistRows[] = {RAR_PERSIST_METRICS(RAR_COUNTER_ROW)};
+constexpr CounterRow kServerRows[] = {RAR_SERVER_METRICS(RAR_COUNTER_ROW)};
+constexpr HistogramRow kHistogramRows[] = {
+    RAR_HISTOGRAM_METRICS(RAR_HISTOGRAM_ROW)};
 
 /// Attribution label of slot `i` of a by-relation vector whose trailing
 /// slot is the Adom component.
@@ -319,13 +215,13 @@ void AppendHistogramJson(JsonWriter* w, const HistogramSnapshot& h) {
 
 std::string ExportMetricsJson(const MetricsExport& m) {
   JsonWriter w;
+  auto fields = [&](const auto& rows) {
+    for (const CounterRow& row : rows) w.Field(row.name, m.stats.*row.member);
+  };
   w.BeginObject();
 
   w.Key("engine").BeginObject();
-  for (const CounterRow& row : EngineRows(m.stats)) {
-    w.Field(row.name, row.value);
-  }
-  w.Field("apply_admission_rejections", m.stats.apply_admission_rejections);
+  fields(kEngineRows);
   w.Field("cache_hit_rate", m.stats.cache_hit_rate());
   w.Field("mean_ir_decider_ns", m.stats.mean_ir_decider_ns());
   w.Field("mean_ltr_decider_ns", m.stats.mean_ltr_decider_ns());
@@ -334,29 +230,23 @@ std::string ExportMetricsJson(const MetricsExport& m) {
   w.EndObject();
 
   w.Key("streams").BeginObject();
-  for (const CounterRow& row : StreamRows(m.stats)) {
-    w.Field(row.name, row.value);
-  }
+  fields(kStreamRows);
   w.Key("rechecks_by_relation");
   AppendAttribution(&w, m.schema, m.stats.stream_rechecks_by_relation);
   w.EndObject();
 
   w.Key("persist").BeginObject();
-  for (const CounterRow& row : PersistRows(m.stats)) {
-    w.Field(row.name, row.value);
-  }
+  fields(kPersistRows);
   w.EndObject();
 
   w.Key("server").BeginObject();
-  for (const CounterRow& row : ServerRows(m.stats)) {
-    w.Field(row.name, row.value);
-  }
+  fields(kServerRows);
   w.EndObject();
 
   w.Key("latency").BeginObject();
-  for (const HistRow& row : HistRows(m.obs)) {
+  for (const HistogramRow& row : kHistogramRows) {
     w.Key(row.name);
-    AppendHistogramJson(&w, *row.h);
+    AppendHistogramJson(&w, m.obs.*row.member);
   }
   w.EndObject();
 
@@ -368,69 +258,59 @@ std::string ExportMetricsJson(const MetricsExport& m) {
 
 std::string ExportMetricsPrometheus(const MetricsExport& m) {
   std::string out;
-  out.reserve(4096);
+  out.reserve(16384);
   auto line = [&out](const std::string& s) {
     out += s;
     out += '\n';
   };
-  auto counter = [&](const std::string& name, uint64_t value, bool gauge) {
-    line("# TYPE " + name + (gauge ? " gauge" : " counter"));
-    line(name + " " + std::to_string(value));
+  auto family = [&](const std::string& name, const char* type,
+                    const std::string& help) {
+    line("# HELP " + name + " " + help);
+    line("# TYPE " + name + " " + type);
+  };
+  auto counters = [&](const std::string& prefix, const auto& rows) {
+    for (const CounterRow& row : rows) {
+      const bool gauge = row.kind == MetricKind::kGauge;
+      const std::string name = prefix + row.name + (gauge ? "" : "_total");
+      family(name, gauge ? "gauge" : "counter", row.help);
+      line(name + " " + std::to_string(m.stats.*row.member));
+    }
+  };
+  auto by_relation = [&](const std::string& name, const char* help,
+                         const std::vector<uint64_t>& values) {
+    if (values.empty()) return;
+    family(name, "counter", help);
+    for (size_t i = 0; i < values.size(); ++i) {
+      line(name + "{relation=\"" + RelationLabel(m.schema, i, values.size()) +
+           "\"} " + std::to_string(values[i]));
+    }
   };
 
-  for (const CounterRow& row : EngineRows(m.stats)) {
-    counter("rar_engine_" + std::string(row.name) +
-                (row.gauge ? "" : "_total"),
-            row.value, row.gauge);
-  }
-  for (const CounterRow& row : StreamRows(m.stats)) {
-    counter("rar_stream_" + std::string(row.name) +
-                (row.gauge ? "" : "_total"),
-            row.value, row.gauge);
-  }
-  for (const CounterRow& row : PersistRows(m.stats)) {
-    counter("rar_persist_" + std::string(row.name) +
-                (row.gauge ? "" : "_total"),
-            row.value, row.gauge);
-  }
-  counter("rar_engine_apply_admission_rejections_total",
-          m.stats.apply_admission_rejections, false);
-  for (const CounterRow& row : ServerRows(m.stats)) {
-    counter("rar_server_" + std::string(row.name) +
-                (row.gauge ? "" : "_total"),
-            row.value, row.gauge);
-  }
+  counters("rar_engine_", kEngineRows);
+  counters("rar_stream_", kStreamRows);
+  counters("rar_persist_", kPersistRows);
+  counters("rar_server_", kServerRows);
 
-  if (!m.stats.invalidations_by_relation.empty()) {
-    line("# TYPE rar_engine_invalidations_by_relation_total counter");
-    const auto& inv = m.stats.invalidations_by_relation;
-    for (size_t i = 0; i < inv.size(); ++i) {
-      line("rar_engine_invalidations_by_relation_total{relation=\"" +
-           RelationLabel(m.schema, i, inv.size()) + "\"} " +
-           std::to_string(inv[i]));
-    }
-  }
-  if (!m.stats.stream_rechecks_by_relation.empty()) {
-    line("# TYPE rar_stream_rechecks_by_relation_total counter");
-    const auto& rc = m.stats.stream_rechecks_by_relation;
-    for (size_t i = 0; i < rc.size(); ++i) {
-      line("rar_stream_rechecks_by_relation_total{relation=\"" +
-           RelationLabel(m.schema, i, rc.size()) + "\"} " +
-           std::to_string(rc[i]));
-    }
-  }
+  by_relation("rar_engine_invalidations_by_relation_total",
+              "Stale cache-entry drops by the footprint component that "
+              "moved; adom is active-domain growth.",
+              m.stats.invalidations_by_relation);
+  by_relation("rar_stream_rechecks_by_relation_total",
+              "Stream rechecks by the applied relation that triggered them; "
+              "adom is registration or active-domain growth.",
+              m.stats.stream_rechecks_by_relation);
 
-  for (const HistRow& row : HistRows(m.obs)) {
+  for (const HistogramRow& row : kHistogramRows) {
+    const HistogramSnapshot& h = m.obs.*row.member;
     const std::string name = "rar_" + std::string(row.name);
-    line("# TYPE " + name + " summary");
-    line(name + "{quantile=\"0.5\"} " + std::to_string(row.h->Percentile(50)));
-    line(name + "{quantile=\"0.9\"} " + std::to_string(row.h->Percentile(90)));
-    line(name + "{quantile=\"0.99\"} " +
-         std::to_string(row.h->Percentile(99)));
-    line(name + "_sum " + std::to_string(row.h->sum));
-    line(name + "_count " + std::to_string(row.h->count));
-    line("# TYPE " + name + "_max gauge");
-    line(name + "_max " + std::to_string(row.h->max));
+    family(name, "summary", row.help);
+    line(name + "{quantile=\"0.5\"} " + std::to_string(h.Percentile(50)));
+    line(name + "{quantile=\"0.9\"} " + std::to_string(h.Percentile(90)));
+    line(name + "{quantile=\"0.99\"} " + std::to_string(h.Percentile(99)));
+    line(name + "_sum " + std::to_string(h.sum));
+    line(name + "_count " + std::to_string(h.count));
+    family(name + "_max", "gauge", "Largest sample of " + name + ".");
+    line(name + "_max " + std::to_string(h.max));
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // The unified metrics exporter: EngineStats + histogram snapshots +
 // per-relation/per-stream attribution rendered as canonical JSON and as
-// Prometheus text exposition format, from one shared description of the
-// metric set (so the two outputs can never drift).
+// Prometheus text exposition format, both walking the rows of the metric
+// table (obs/metrics.h), so the two outputs can never drift.
 //
 // `JsonWriter` is the small building block the benches and examples use
 // instead of hand-rolled string concatenation: automatic comma placement,
@@ -78,8 +78,9 @@ std::string ExportMetricsJson(const MetricsExport& m);
 
 /// Prometheus text exposition format: counters as `rar_<name>_total`,
 /// attribution vectors with a `relation` label, histograms as summaries
-/// (`_count`/`_sum`/quantile series). Endpoint-ready: serve the string
-/// as text/plain and a Prometheus scraper ingests it as-is.
+/// (`_count`/`_sum`/quantile series); every family opens with its
+/// `# HELP` and `# TYPE` lines. Endpoint-ready: serve the string as
+/// text/plain and a Prometheus scraper ingests it as-is.
 std::string ExportMetricsPrometheus(const MetricsExport& m);
 
 /// Appends one histogram as {"count":..,"mean":..,"p50":..,"p90":..,

@@ -11,7 +11,13 @@
 #include <cstdint>
 
 #include "obs/histogram.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
+
+// Histogram fields and their snapshot, one per row of the metric table.
+#define RAR_HISTOGRAM_FIELD(member, help) HistogramSnapshot member;
+#define RAR_HISTOGRAM_LIVE(member, help) Histogram member;
+#define RAR_HISTOGRAM_SNAPSHOT(member, help) s.member = member.Snapshot();
 
 namespace rar {
 
@@ -26,37 +32,7 @@ struct ObsOptions {
 
 /// \brief Point-in-time copy of every histogram in the bundle.
 struct ObsSnapshot {
-  HistogramSnapshot ir_decider_ns;   ///< uncached IR decider wall time
-  HistogramSnapshot ltr_decider_ns;  ///< uncached LTR decider wall time
-  HistogramSnapshot apply_ns;        ///< ApplyResponse end-to-end latency
-  HistogramSnapshot batch_ns;        ///< CheckBatch batch latency
-  HistogramSnapshot wave_ns;         ///< stream recheck-wave duration
-  HistogramSnapshot wave_width;      ///< bindings re-evaluated per wave
-  HistogramSnapshot queue_wait_ns;   ///< worker-pool task queue wait
-  HistogramSnapshot source_ns;       ///< simulated source round-trip
-  HistogramSnapshot wal_fsync_ns;    ///< each physical WAL fsync
-  HistogramSnapshot wal_commit_ns;   ///< WaitDurable end-to-end (group commit)
-  HistogramSnapshot server_request_ns;   ///< session-server dispatch, any type
-  HistogramSnapshot server_apply_ns;     ///< kApply requests end-to-end
-  HistogramSnapshot server_poll_ns;      ///< kPoll requests end-to-end
-  HistogramSnapshot server_register_ns;  ///< kRegisterQuery/Stream requests
-
-  void Merge(const ObsSnapshot& other) {
-    ir_decider_ns.Merge(other.ir_decider_ns);
-    ltr_decider_ns.Merge(other.ltr_decider_ns);
-    apply_ns.Merge(other.apply_ns);
-    batch_ns.Merge(other.batch_ns);
-    wave_ns.Merge(other.wave_ns);
-    wave_width.Merge(other.wave_width);
-    queue_wait_ns.Merge(other.queue_wait_ns);
-    source_ns.Merge(other.source_ns);
-    wal_fsync_ns.Merge(other.wal_fsync_ns);
-    wal_commit_ns.Merge(other.wal_commit_ns);
-    server_request_ns.Merge(other.server_request_ns);
-    server_apply_ns.Merge(other.server_apply_ns);
-    server_poll_ns.Merge(other.server_poll_ns);
-    server_register_ns.Merge(other.server_register_ns);
-  }
+  RAR_HISTOGRAM_METRICS(RAR_HISTOGRAM_FIELD)
 };
 
 /// \brief The live recording side (histograms + trace ring). Every member
@@ -69,40 +45,14 @@ class EngineObservability {
   EngineObservability(const EngineObservability&) = delete;
   EngineObservability& operator=(const EngineObservability&) = delete;
 
-  Histogram ir_decider_ns;
-  Histogram ltr_decider_ns;
-  Histogram apply_ns;
-  Histogram batch_ns;
-  Histogram wave_ns;
-  Histogram wave_width;
-  Histogram queue_wait_ns;
-  Histogram source_ns;
-  Histogram wal_fsync_ns;
-  Histogram wal_commit_ns;
-  Histogram server_request_ns;
-  Histogram server_apply_ns;
-  Histogram server_poll_ns;
-  Histogram server_register_ns;
+  RAR_HISTOGRAM_METRICS(RAR_HISTOGRAM_LIVE)
 
   TraceBuffer& trace() { return trace_; }
   const TraceBuffer& trace() const { return trace_; }
 
   ObsSnapshot Snapshot() const {
     ObsSnapshot s;
-    s.ir_decider_ns = ir_decider_ns.Snapshot();
-    s.ltr_decider_ns = ltr_decider_ns.Snapshot();
-    s.apply_ns = apply_ns.Snapshot();
-    s.batch_ns = batch_ns.Snapshot();
-    s.wave_ns = wave_ns.Snapshot();
-    s.wave_width = wave_width.Snapshot();
-    s.queue_wait_ns = queue_wait_ns.Snapshot();
-    s.source_ns = source_ns.Snapshot();
-    s.wal_fsync_ns = wal_fsync_ns.Snapshot();
-    s.wal_commit_ns = wal_commit_ns.Snapshot();
-    s.server_request_ns = server_request_ns.Snapshot();
-    s.server_apply_ns = server_apply_ns.Snapshot();
-    s.server_poll_ns = server_poll_ns.Snapshot();
-    s.server_register_ns = server_register_ns.Snapshot();
+    RAR_HISTOGRAM_METRICS(RAR_HISTOGRAM_SNAPSHOT)
     return s;
   }
 

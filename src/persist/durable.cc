@@ -662,7 +662,7 @@ Status DurableSession::WriteSnapshotLocked() {
   RAR_RETURN_NOT_OK(
       WriteSnapshotFile(env_, dir_, *schema_, *acs_, st, &bytes));
   snapshots_written_ += 1;
-  snapshot_bytes_ += bytes;
+  snapshot_bytes_ = bytes;
 
   // Seal the log at the snapshot boundary, then clean up — keeping a
   // one-deep fallback chain: the previous snapshot survives, along with

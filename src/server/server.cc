@@ -13,10 +13,6 @@ namespace {
 // Sentinel meaning "handler succeeded"; real codes start at kBadFrame=1.
 constexpr WireErrorCode kNoError = static_cast<WireErrorCode>(0);
 
-void Bump(std::atomic<uint64_t>& c, uint64_t n = 1) {
-  c.fetch_add(n, std::memory_order_relaxed);
-}
-
 void MaxInto(std::atomic<uint64_t>& gauge, uint64_t v) {
   uint64_t cur = gauge.load(std::memory_order_relaxed);
   while (cur < v &&
@@ -58,7 +54,8 @@ SessionServer::SessionServer(DurableSession* durable, ServerOptions options)
     : store_(durable), options_(options) {
   store_->SizeDedupWindows(options_.dedup_window);
   // Sessions the store recovered from its directory (none without a log).
-  Bump(counters_.sessions_recovered, store_->num_server_sessions());
+  counters_.Bump(counters_.server_sessions_recovered,
+                 store_->num_server_sessions());
   store_->engine().AddApplyListener(this);
 }
 
@@ -73,7 +70,7 @@ uint64_t SessionServer::UnixMs() {
 
 std::string SessionServer::HandleFrame(const WireFrame& frame) {
   const uint64_t t0 = MonotonicNs();
-  Bump(counters_.requests);
+  counters_.Bump(counters_.server_requests);
 
   WireError err;
   err.code = kNoError;
@@ -84,52 +81,52 @@ std::string SessionServer::HandleFrame(const WireFrame& frame) {
   if (frame.deadline_unix_ms != 0 && UnixMs() > frame.deadline_unix_ms) {
     // The client has already given up on this frame; doing the work would
     // only burn server time on a response nobody is waiting for.
-    Bump(counters_.deadline_rejections);
+    counters_.Bump(counters_.server_deadline_rejections);
     err.code = WireErrorCode::kDeadlineExceeded;
     err.message = "deadline expired before dispatch";
   } else {
     switch (frame.type) {
       case MessageType::kHello:
-        Bump(counters_.requests_hello);
+        counters_.Bump(counters_.server_requests_hello);
         payload = HandleHello(frame, &err);
         response_type = MessageType::kHelloOk;
         break;
       case MessageType::kRegisterQuery:
-        Bump(counters_.requests_register_query);
+        counters_.Bump(counters_.server_requests_register_query);
         payload = HandleRegisterQuery(frame, &err);
         response_type = MessageType::kRegisterQueryOk;
         obs.server_register_ns.Record(MonotonicNs() - t0);
         break;
       case MessageType::kRegisterStream:
-        Bump(counters_.requests_register_stream);
+        counters_.Bump(counters_.server_requests_register_stream);
         payload = HandleRegisterStream(frame, &err);
         response_type = MessageType::kRegisterStreamOk;
         obs.server_register_ns.Record(MonotonicNs() - t0);
         break;
       case MessageType::kApply:
-        Bump(counters_.requests_apply);
+        counters_.Bump(counters_.server_requests_apply);
         payload = HandleApply(frame, &err);
         response_type = MessageType::kApplyOk;
         obs.server_apply_ns.Record(MonotonicNs() - t0);
         break;
       case MessageType::kPoll:
-        Bump(counters_.requests_poll);
+        counters_.Bump(counters_.server_requests_poll);
         payload = HandlePoll(frame, &err);
         response_type = MessageType::kPollOk;
         obs.server_poll_ns.Record(MonotonicNs() - t0);
         break;
       case MessageType::kAcknowledge:
-        Bump(counters_.requests_acknowledge);
+        counters_.Bump(counters_.server_requests_acknowledge);
         payload = HandleAcknowledge(frame, &err);
         response_type = MessageType::kAcknowledgeOk;
         break;
       case MessageType::kSnapshot:
-        Bump(counters_.requests_snapshot);
+        counters_.Bump(counters_.server_requests_snapshot);
         payload = HandleSnapshot(frame, &err);
         response_type = MessageType::kSnapshotOk;
         break;
       case MessageType::kMetrics:
-        Bump(counters_.requests_metrics);
+        counters_.Bump(counters_.server_requests_metrics);
         payload = HandleMetrics(frame, &err);
         response_type = MessageType::kMetricsOk;
         break;
@@ -138,7 +135,7 @@ std::string SessionServer::HandleFrame(const WireFrame& frame) {
         response_type = MessageType::kGoodbyeOk;
         break;
       case MessageType::kPing:
-        Bump(counters_.requests_ping);
+        counters_.Bump(counters_.server_requests_ping);
         payload = HandlePing(frame, &err);
         response_type = MessageType::kPingOk;
         break;
@@ -156,7 +153,7 @@ std::string SessionServer::HandleFrame(const WireFrame& frame) {
 
   std::string out;
   if (err.code != kNoError) {
-    Bump(counters_.errors);
+    counters_.Bump(counters_.server_errors);
     EncodeWireFrame(frame.request_id, MessageType::kError,
                     EncodeWireError(err), &out);
   } else {
@@ -166,12 +163,12 @@ std::string SessionServer::HandleFrame(const WireFrame& frame) {
 }
 
 void SessionServer::NoteBadFrame() {
-  Bump(counters_.bad_frames);
-  Bump(counters_.errors);
+  counters_.Bump(counters_.server_bad_frames);
+  counters_.Bump(counters_.server_errors);
 }
 
 void SessionServer::ShedDraining(WireError* error) {
-  Bump(counters_.drain_sheds);
+  counters_.Bump(counters_.server_drain_sheds);
   error->code = WireErrorCode::kShuttingDown;
   error->retry_after_ms = options_.drain_retry_after_ms;
   error->message = "server is draining; retry against another replica";
@@ -183,7 +180,7 @@ std::string SessionServer::Answer(Result<DurableSession::Outcome> outcome,
     if (outcome.status().code() == StatusCode::kResourceExhausted) {
       // Engine apply admission shed the request: typed backoff, not a
       // failure — the client retries after retry_after_ms.
-      Bump(counters_.applies_shed);
+      counters_.Bump(counters_.server_applies_shed);
       error->code = WireErrorCode::kRetryLater;
       error->retry_after_ms = options_.retry_after_ms;
     } else {
@@ -200,10 +197,10 @@ std::string SessionServer::Answer(Result<DurableSession::Outcome> outcome,
             "request id was already used by a different message type";
         return "";
       }
-      Bump(counters_.dedup_hits);
+      counters_.Bump(counters_.server_dedup_hits);
       break;
     case DedupWindow::Verdict::kStale:
-      Bump(counters_.dedup_stale);
+      counters_.Bump(counters_.server_dedup_stale);
       error->code = WireErrorCode::kStaleRequest;
       error->message =
           "request id predates the dedup window: the original completed "
@@ -262,7 +259,7 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
   if (req.resume.session_id != 0 || req.resume.nonce != 0) {
     std::shared_ptr<Session> session = FindSession(req.resume, error);
     if (session == nullptr) return "";
-    Bump(counters_.sessions_resumed);
+    counters_.Bump(counters_.server_sessions_resumed);
     HelloResponse resp;
     resp.token = {session->id, session->nonce};
     resp.resumed = true;
@@ -288,7 +285,7 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
     return "";
   }
   if (*session == nullptr) {
-    Bump(counters_.sessions_shed);
+    counters_.Bump(counters_.server_sessions_shed);
     error->code = WireErrorCode::kRetryLater;
     error->retry_after_ms = options_.retry_after_ms;
     error->message = "session admission: " +
@@ -296,7 +293,7 @@ std::string SessionServer::HandleHello(const WireFrame& frame,
                      " sessions already live; retry later";
     return "";
   }
-  Bump(counters_.sessions_opened);
+  counters_.Bump(counters_.server_sessions_opened);
 
   HelloResponse resp;
   resp.token = {(*session)->id, (*session)->nonce};
@@ -409,7 +406,7 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     if (delta.status().code() == StatusCode::kFailedPrecondition) {
       // Retention cap dropped events this cursor still needed: tell the
       // client where the horizon is so it can re-snapshot and resume.
-      Bump(counters_.cursor_evictions);
+      counters_.Bump(counters_.server_cursor_evictions);
       error->code = WireErrorCode::kCursorEvicted;
       error->detail = polled.evicted_through;
     } else {
@@ -419,7 +416,7 @@ std::string SessionServer::HandlePoll(const WireFrame& frame,
     return "";
   }
   // The backlog gauge: what the retention cap (max_backlog_events) holds.
-  MaxInto(counters_.backlog_high_water, polled.retained);
+  MaxInto(counters_.server_backlog_high_water, polled.retained);
   return EncodePollResponse(engine().schema(), *delta);
 }
 
@@ -510,7 +507,7 @@ std::string SessionServer::HandleGoodbye(const WireFrame& frame,
     error->message = "unknown session token";
     return "";
   }
-  Bump(counters_.sessions_retired);
+  counters_.Bump(counters_.server_sessions_retired);
   return "";
 }
 
@@ -537,7 +534,7 @@ size_t SessionServer::ReapIdleSessions() {
   if (options_.idle_timeout_ms == 0) return 0;
   const size_t reaped =
       store_->ReapIdleServerSessions(options_.idle_timeout_ms);
-  Bump(counters_.sessions_reaped, reaped);
+  counters_.Bump(counters_.server_sessions_reaped, reaped);
   return reaped;
 }
 
@@ -553,37 +550,8 @@ Status SessionServer::BeginDrain() {
 }
 
 void SessionServer::ContributeStats(EngineStats* stats) const {
-  const auto load = [](const std::atomic<uint64_t>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
-  stats->server_sessions_opened += load(counters_.sessions_opened);
-  stats->server_sessions_resumed += load(counters_.sessions_resumed);
-  stats->server_sessions_retired += load(counters_.sessions_retired);
-  stats->server_sessions_reaped += load(counters_.sessions_reaped);
-  stats->server_sessions_shed += load(counters_.sessions_shed);
-  stats->server_sessions_recovered += load(counters_.sessions_recovered);
+  counters_.FoldInto(stats);
   stats->server_sessions_active += num_sessions();
-  stats->server_requests += load(counters_.requests);
-  stats->server_requests_hello += load(counters_.requests_hello);
-  stats->server_requests_register_query +=
-      load(counters_.requests_register_query);
-  stats->server_requests_register_stream +=
-      load(counters_.requests_register_stream);
-  stats->server_requests_apply += load(counters_.requests_apply);
-  stats->server_requests_poll += load(counters_.requests_poll);
-  stats->server_requests_acknowledge += load(counters_.requests_acknowledge);
-  stats->server_requests_snapshot += load(counters_.requests_snapshot);
-  stats->server_requests_metrics += load(counters_.requests_metrics);
-  stats->server_requests_ping += load(counters_.requests_ping);
-  stats->server_errors += load(counters_.errors);
-  stats->server_bad_frames += load(counters_.bad_frames);
-  stats->server_applies_shed += load(counters_.applies_shed);
-  stats->server_cursor_evictions += load(counters_.cursor_evictions);
-  stats->server_backlog_high_water += load(counters_.backlog_high_water);
-  stats->server_dedup_hits += load(counters_.dedup_hits);
-  stats->server_dedup_stale += load(counters_.dedup_stale);
-  stats->server_deadline_rejections += load(counters_.deadline_rejections);
-  stats->server_drain_sheds += load(counters_.drain_sheds);
 }
 
 }  // namespace rar

@@ -196,33 +196,7 @@ class SessionServer : public ApplyListener {
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> inflight_mutations_{0};
 
-  struct Counters {
-    std::atomic<uint64_t> sessions_opened{0};
-    std::atomic<uint64_t> sessions_resumed{0};
-    std::atomic<uint64_t> sessions_retired{0};
-    std::atomic<uint64_t> sessions_reaped{0};
-    std::atomic<uint64_t> sessions_shed{0};
-    std::atomic<uint64_t> sessions_recovered{0};
-    std::atomic<uint64_t> requests{0};
-    std::atomic<uint64_t> requests_hello{0};
-    std::atomic<uint64_t> requests_register_query{0};
-    std::atomic<uint64_t> requests_register_stream{0};
-    std::atomic<uint64_t> requests_apply{0};
-    std::atomic<uint64_t> requests_poll{0};
-    std::atomic<uint64_t> requests_acknowledge{0};
-    std::atomic<uint64_t> requests_snapshot{0};
-    std::atomic<uint64_t> requests_metrics{0};
-    std::atomic<uint64_t> requests_ping{0};
-    std::atomic<uint64_t> errors{0};
-    std::atomic<uint64_t> bad_frames{0};
-    std::atomic<uint64_t> applies_shed{0};
-    std::atomic<uint64_t> cursor_evictions{0};
-    std::atomic<uint64_t> backlog_high_water{0};
-    std::atomic<uint64_t> dedup_hits{0};
-    std::atomic<uint64_t> dedup_stale{0};
-    std::atomic<uint64_t> deadline_rejections{0};
-    std::atomic<uint64_t> drain_sheds{0};
-  };
+  RAR_COUNTER_BLOCK(Counters, RAR_SERVER_METRICS);
   mutable Counters counters_;
 };
 

@@ -482,7 +482,7 @@ Result<StreamId> RelevanceStreamRegistry::RegisterInternal(
     return Join(*shared, info);
   }
   counters_.Bump(counters_.streams_registered);
-  counters_.Bump(counters_.subscriptions);
+  counters_.Bump(counters_.stream_subscriptions);
 
   s.candidates.values.resize(s.inst.num_domains());
   s.candidates.seen.assign(s.inst.num_domains(), 0);
@@ -576,7 +576,7 @@ Result<StreamId> RelevanceStreamRegistry::Join(StreamState& s,
     if (cap > 0 && sub.base > cap) {
       sub.evicted = sub.base - cap;
       TrimPrefix(sub, sub.evicted);
-      counters_.Bump(counters_.retained_evicted, sub.evicted);
+      counters_.Bump(counters_.stream_retained_evicted, sub.evicted);
     }
   }
   s.acked_positions.insert(sub.AckedShared());
@@ -587,7 +587,7 @@ Result<StreamId> RelevanceStreamRegistry::Join(StreamState& s,
     id = static_cast<StreamId>(subscriptions_.size());
     subscriptions_.push_back(SubscriptionRef{&s, s.joiners.back().get()});
   }
-  counters_.Bump(counters_.subscriptions);
+  counters_.Bump(counters_.stream_subscriptions);
   return id;
 }
 
@@ -623,7 +623,7 @@ Status RelevanceStreamRegistry::AppendBinding(
   added.binding = b.tuple;
   s.bindings.push_back(std::move(b));
   if (s.index_built) IndexBinding(s, s.bindings.size() - 1);
-  counters_.Bump(counters_.bindings_tracked);
+  counters_.Bump(counters_.stream_bindings);
   std::vector<StreamEvent> events;
   events.push_back(std::move(added));
   CommitEvents(s, std::move(events));
@@ -643,7 +643,7 @@ Status RelevanceStreamRegistry::ExtendBindings(StreamState& s) {
                              append = AppendBinding(s, slots);
                              return !append.ok();
                            });
-  counters_.Bump(counters_.new_bindings,
+  counters_.Bump(counters_.stream_new_bindings,
                  static_cast<uint64_t>(s.bindings.size() - before));
   if (!append.ok()) {
     // Advancing the cursor would silently drop the never-appended
@@ -783,7 +783,7 @@ void RelevanceStreamRegistry::CommitEvents(StreamState& s,
         break;
     }
     e.sequence = s.next_sequence++;
-    counters_.Bump(counters_.events);
+    counters_.Bump(counters_.stream_events);
     s.log.push_back(std::move(e));
   }
   // Retention cap: evict the oldest shared events beyond the cap, so a
@@ -797,7 +797,7 @@ void RelevanceStreamRegistry::CommitEvents(StreamState& s,
   if (s.options.retain_events && cap > 0 && live > cap) {
     const size_t excess = live - static_cast<size_t>(cap);
     ReleaseOldest(s, excess);
-    counters_.Bump(counters_.retained_evicted, excess);
+    counters_.Bump(counters_.stream_retained_evicted, excess);
   }
 }
 
@@ -1285,26 +1285,27 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
     stale.push_back(i);
     stamps.push_back(std::move(stamp));
   }
-  if (skipped > 0) counters_.Bump(counters_.skips, skipped);
-  if (sticky > 0) counters_.Bump(counters_.sticky_skips, sticky);
+  if (skipped > 0) counters_.Bump(counters_.stream_skips, skipped);
+  if (sticky > 0) counters_.Bump(counters_.stream_sticky_skips, sticky);
   if (gate_skipped > 0) {
-    counters_.Bump(counters_.value_gate_skips, gate_skipped);
+    counters_.Bump(counters_.stream_value_gate_skips, gate_skipped);
   }
   if (semijoin_rechecks > 0) {
-    counters_.Bump(counters_.value_gate_semijoin_rechecks,
+    counters_.Bump(counters_.stream_value_gate_semijoin,
                    semijoin_rechecks);
   }
   if (newborn_rechecks > 0) {
-    counters_.Bump(counters_.value_gate_newborn_rechecks, newborn_rechecks);
+    counters_.Bump(counters_.stream_value_gate_newborn, newborn_rechecks);
   }
   // Residual rechecks are fallback pressure: attribute them to the event
   // channel that forced them (freshly minted accesses on Adom waves, the
   // unconstrained free hit otherwise).
   if (adom_hit && residual_rechecks > 0) {
-    counters_.Bump(counters_.value_gate_fallback_adom, residual_rechecks);
+    counters_.Bump(counters_.stream_value_gate_fallback_adom,
+                   residual_rechecks);
   }
   if (unconstrained_rechecks + (adom_hit ? 0 : residual_rechecks) > 0) {
-    counters_.Bump(counters_.value_gate_fallback_unconstrained,
+    counters_.Bump(counters_.stream_value_gate_fallback_unconstrained,
                    unconstrained_rechecks +
                        (adom_hit ? 0 : residual_rechecks));
   }
@@ -1314,14 +1315,15 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   }
   if (!full && !gated) {
     if (adom_hit) {
-      counters_.Bump(counters_.value_gate_fallback_adom,
+      counters_.Bump(counters_.stream_value_gate_fallback_adom,
                      static_cast<uint64_t>(stale.size()));
     } else if (!s.gate_supported && !s.extra_relations.empty()) {
-      counters_.Bump(counters_.value_gate_fallback_dependent_ltr,
+      counters_.Bump(counters_.stream_value_gate_fallback_dependent_ltr,
                      static_cast<uint64_t>(stale.size()));
     }
   }
-  counters_.Bump(counters_.rechecks, static_cast<uint64_t>(stale.size()));
+  counters_.Bump(counters_.stream_rechecks,
+                 static_cast<uint64_t>(stale.size()));
   rechecks_by_relation_[attribution_slot].fetch_add(
       stale.size(), std::memory_order_relaxed);
 
@@ -1399,8 +1401,8 @@ void RelevanceStreamRegistry::OnApply(const ApplyEvent& event) {
       // O(1) stream-level skip: nothing this stream's bindings read (facts,
       // frontier, Adom) changed.
       const uint64_t settled = s.num_certain + s.num_unsat;
-      counters_.Bump(counters_.skips, s.bindings.size() - settled);
-      if (settled > 0) counters_.Bump(counters_.sticky_skips, settled);
+      counters_.Bump(counters_.stream_skips, s.bindings.size() - settled);
+      if (settled > 0) counters_.Bump(counters_.stream_sticky_skips, settled);
       continue;
     }
     // Keep the secondary fact index a faithful delta mirror *before* the
@@ -1417,7 +1419,7 @@ void RelevanceStreamRegistry::OnApply(const ApplyEvent& event) {
 }
 
 void RelevanceStreamRegistry::ContributeStats(EngineStats* stats) const {
-  counters_.ContributeTo(stats);
+  counters_.FoldInto(stats);
   if (stats->stream_rechecks_by_relation.size() < num_relations_ + 1) {
     stats->stream_rechecks_by_relation.resize(num_relations_ + 1, 0);
   }

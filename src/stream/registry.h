@@ -104,7 +104,6 @@
 #include "engine/engine.h"
 #include "stream/binding_state.h"
 #include "stream/stream.h"
-#include "stream/stream_stats.h"
 
 namespace rar {
 
@@ -138,6 +137,12 @@ struct StreamRecoveryInfo {
   uint64_t evicted_through = 0;  ///< persisted retention-cap horizon
   std::vector<StreamEvent> retained_events;
 };
+
+/// \brief The registry's live counter block (relaxed atomics, see
+/// EngineCounters): how many bindings each apply rechecked versus
+/// skipped, and where the recheck pressure comes from. ContributeStats
+/// folds it into `engine.stats()`.
+RAR_COUNTER_BLOCK(StreamCounters, RAR_STREAM_METRICS);
 
 class RelevanceStreamRegistry : public ApplyListener {
  public:

@@ -549,6 +549,25 @@ TEST(DurableSessionTest, SnapshotPrunesToFallbackChainAndRestores) {
   EXPECT_GT(stats.replay_facts, 0u);
 }
 
+TEST(DurableSessionTest, SnapshotBytesIsTheNewestSnapshotsSize) {
+  PersistFixture fx;
+  const std::string dir = TestDir("snapshot_bytes");
+  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
+                                fx.quiet_engine());
+  ASSERT_TRUE(s.ok());
+  ASSERT_TRUE((*s)->WriteSnapshot().ok());
+  ASSERT_TRUE(
+      (*s)->Apply(Access{fx.ms, {}}, {Fact(fx.s_rel, {fx.C("a")})}).ok());
+  ASSERT_TRUE((*s)->WriteSnapshot().ok());
+
+  // snapshot_bytes is a gauge of the last sealed image, not a running sum.
+  const EngineStats stats = (*s)->engine().stats();
+  EXPECT_EQ(stats.snapshots_written, 2u);
+  EXPECT_EQ(stats.snapshot_bytes,
+            ReadRawFile(dir + "/" + SnapshotFileName((*s)->last_sequence()))
+                .size());
+}
+
 TEST(DurableSessionTest, AutoSnapshotKeepsParity) {
   PersistFixture fx;
   const std::string dir = TestDir("autosnap");

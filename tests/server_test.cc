@@ -27,6 +27,7 @@
 #include <unistd.h>
 
 #include "engine/engine.h"
+#include "exposition_check.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -608,6 +609,7 @@ TEST(SessionServerTest, MetricsOverTheWire) {
   ASSERT_TRUE(prom.ok());
   EXPECT_NE(prom->find("rar_server_requests_total"), std::string::npos);
   EXPECT_NE(prom->find("rar_server_sessions_active 1"), std::string::npos);
+  EXPECT_EQ(ExpositionProblems(*prom), "");
 }
 
 // ------------------------------------------------------------------ TCP
