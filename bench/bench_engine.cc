@@ -375,6 +375,89 @@ void BM_Engine_ScanStale(benchmark::State& state) {
 }
 BENCHMARK(BM_Engine_ScanStale)->Arg(64)->Arg(512);
 
+// One stale LTR check of an access with outputs per iteration — the
+// truncation-cut route of the dependent LTR decider. Q :- R(k, Y), S(Y)
+// under dependent methods: r_by_a(v) for v != k is long-term relevant
+// (R(k, y) then S(y) is reachable, and R's output domain feeds both
+// methods, so the truncation can be cut). Before each iteration, outside
+// the timed region, U — a relation outside the query — lands a value new
+// to the active domain: the check's cached verdict goes stale (its stamp
+// carries the Adom version) while the query's relations, and so its
+// certainty, stay. Once the engine's achievability memo holds, the check
+// reads the cut off the view with no containment search; `memo_share` is
+// the share of timed checks it answered.
+struct TruncationCutCheck {
+  TruncationCutCheck() {
+    schema = std::make_shared<rar::Schema>();
+    const rar::DomainId d = schema->AddDomain("D");
+    const rar::DomainId e = schema->AddDomain("E");
+    const rar::RelationId r = *schema->AddRelation("R", {{"a", d}, {"b", d}});
+    const rar::RelationId s = *schema->AddRelation("S", {{"a", d}});
+    const rar::RelationId t = *schema->AddRelation("T", {{"a", d}});
+    u = *schema->AddRelation("U", {{"a", e}});
+    acs = std::make_unique<rar::AccessMethodSet>(schema.get());
+    const rar::AccessMethodId mr = *acs->Add("r_by_a", r, {0}, true);
+    (void)*acs->Add("s_check", s, {0}, true);
+    mu = *acs->Add("u_free", u, {}, true);
+    rar::Configuration conf(schema.get());
+    const rar::Value k = schema->InternConstant("k");
+    const rar::Value v = schema->InternConstant("v");
+    conf.AddFact(rar::Fact(t, {k}));
+    conf.AddFact(rar::Fact(t, {v}));
+    rar::ConjunctiveQuery cq;
+    const rar::VarId y = cq.AddVar("Y", d);
+    cq.atoms.push_back(
+        rar::Atom{r, {rar::Term::MakeConst(k), rar::Term::MakeVar(y)}});
+    cq.atoms.push_back(rar::Atom{s, {rar::Term::MakeVar(y)}});
+    rar::UnionQuery q;
+    q.disjuncts.push_back(std::move(cq));
+    EngineOptions opts;
+    opts.num_threads = 1;
+    engine = std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf),
+                                               opts);
+    qid = *engine->RegisterQuery(q);
+    access = Access{mr, {v}};
+  }
+
+  bool Check() { return engine->CheckLongTerm(qid, access).relevant; }
+
+  // Lands U(u_i), a value new to the active domain.
+  void GrowAdom() {
+    const rar::Value fresh =
+        schema->InternConstant("u" + std::to_string(next++));
+    (void)engine->ApplyResponse(Access{mu, {}}, {rar::Fact(u, {fresh})});
+  }
+
+  std::shared_ptr<rar::Schema> schema;
+  std::unique_ptr<rar::AccessMethodSet> acs;
+  rar::RelationId u = 0;
+  rar::AccessMethodId mu = 0;
+  std::unique_ptr<RelevanceEngine> engine;
+  QueryId qid = 0;
+  Access access;
+  size_t next = 0;
+};
+
+void BM_Engine_LtrTruncationCutStale(benchmark::State& state) {
+  TruncationCutCheck check;
+  check.Check();  // decide once: the memo is set
+  const EngineStats before = check.engine->stats();
+  for (auto _ : state) {
+    state.PauseTiming();
+    check.GrowAdom();
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(check.Check());
+  }
+  const EngineStats after = check.engine->stats();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["hit_rate"] = after.cache_hit_rate();
+  state.counters["memo_share"] =
+      static_cast<double>(after.achievable_reuse - before.achievable_reuse) /
+      static_cast<double>(state.iterations());
+}
+// A fixed count: every iteration adds one active-domain value.
+BENCHMARK(BM_Engine_LtrTruncationCutStale)->Iterations(20000);
+
 }  // namespace
 
 BENCHMARK_MAIN();

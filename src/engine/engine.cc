@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "query/eval.h"
 #include "relational/overlay.h"
 
 namespace rar {
@@ -506,7 +505,7 @@ class RelevanceEngine::SharedStripes {
 bool RelevanceEngine::CertainLocked(QueryId id) {
   // Caller holds the query-footprint stripes (shared or exclusive);
   // serialize the memo update.
-  std::lock_guard<std::mutex> lock(certainty_mu_);
+  std::lock_guard<std::mutex> lock(memo_mu_);
   QueryState& qs = *queries_[id];
   if (qs.certain) {
     counters_.Bump(counters_.certainty_reuse);
@@ -518,10 +517,42 @@ bool RelevanceEngine::CertainLocked(QueryId id) {
     counters_.Bump(counters_.certainty_reuse);
     return false;
   }
-  qs.certain = EvalBool(qs.query, conf_);
+  qs.certain = EvalBoolIndexed(qs.query, conf_, ThreadIrScratch());
   stamp.CopyTo(&qs.checked_stamp);
   qs.checked_valid = true;
   return qs.certain;
+}
+
+bool RelevanceEngine::AchievableLocked(QueryId id, const ConfigView& view) {
+  QueryState& qs = *queries_[id];
+  if (qs.achievable.load(std::memory_order_acquire)) {
+    counters_.Bump(counters_.achievable_reuse);
+    return true;
+  }
+  // The search reads the query's relations and the active domain; its
+  // probes of other method relations ask only about facts carrying a
+  // fresh or missing value (DESIGN.md "The achievability memo").
+  const LiveStamp stamp(*this, qs.footprint, kInvalidId,
+                        /*adom_sensitive=*/true);
+  {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    if (qs.unachievable_valid && stamp.Equals(qs.unachievable_stamp)) {
+      return false;
+    }
+  }
+  const Result<bool> found = analyzer_.Achievable(view, qs.query,
+                                                  options_.relevance);
+  if (found.ok() && *found) {
+    qs.achievable.store(true, std::memory_order_release);
+    return true;
+  }
+  // An error stores nothing: the full search runs and reports it.
+  if (found.ok()) {
+    std::lock_guard<std::mutex> lock(memo_mu_);
+    stamp.CopyTo(&qs.unachievable_stamp);
+    qs.unachievable_valid = true;
+  }
+  return false;
 }
 
 bool RelevanceEngine::IsCertain(QueryId id) {
@@ -684,9 +715,16 @@ CheckOutcome RelevanceEngine::CheckLocked(CheckScope* scope,
     obs_.ir_decider_ns.Record(decider_ns);
   } else {
     // Likewise the LTR search alone: the deciders' own well-formedness
-    // and certainty gates would repeat what the gates above showed.
-    Result<bool> r =
-        analyzer_.LongTermSearch(view, access, qs.query, options_.relevance);
+    // and certainty gates would repeat what the gates above showed. An
+    // access with outputs under dependent methods takes the truncation-
+    // cut route; once the query's memo knows it achievable from the view
+    // (AchievableLocked), the cut alone decides, with no containment
+    // search.
+    const bool achievable = !acs_.AllIndependent() &&
+                            !acs_.IsBoolean(access.method) &&
+                            AchievableLocked(id, view);
+    Result<bool> r = analyzer_.LongTermSearch(view, access, qs.query,
+                                              options_.relevance, achievable);
     const uint64_t decider_ns = MonotonicNs() - t0;
     counters_.Bump(counters_.uncached_ltr_checks);
     counters_.Bump(counters_.ltr_time_ns, decider_ns);

@@ -32,6 +32,12 @@
 //    lock footprint is a stripe mask fixed at registration, cache stamps
 //    are read in place from the version mirror, and the decision cache
 //    recycles its records;
+//  * per-query memos — certainty, re-evaluated only when the query's
+//    relations move, and achievability (can some reachable configuration
+//    satisfy the query?), sticky once true: for an access with outputs
+//    under dependent methods it leaves the LTR verdict to the truncation
+//    cut alone, so most such checks run no containment search (DESIGN.md
+//    "The achievability memo");
 //  * scheduling — `CandidateAccesses` ranks the frontier by cached
 //    relevance and query criticality, so callers probe the most promising
 //    accesses first;
@@ -446,6 +452,16 @@ class RelevanceEngine {
     bool certain = false;           ///< monotone once true
     VersionStamp checked_stamp;     ///< stamp of the last certainty check
     bool checked_valid = false;     ///< checked_stamp holds a real check
+    /// The achievability memo (AchievableLocked): set once the query is
+    /// found achievable from a check's seeded view, and never cleared —
+    /// configurations only grow, so it stays achievable. Read without a
+    /// lock.
+    std::atomic<bool> achievable{false};
+    /// Stamp of the last search that found the query unachievable (its
+    /// relations, then the Adom version); the search re-runs once it
+    /// moves.
+    VersionStamp unachievable_stamp;
+    bool unachievable_valid = false;  ///< unachievable_stamp is real
   };
 
   /// RAII gauge for the overlap counters.
@@ -522,9 +538,17 @@ class RelevanceEngine {
   /// per-acquisition state. Every check path runs through it.
   CheckOutcome CheckLocked(CheckScope* scope, const Access& access);
 
-  /// Certainty with per-stamp memoization; takes certainty_mu_. Caller
+  /// Certainty with per-stamp memoization; takes memo_mu_. Caller
   /// holds the query-footprint stripes (at least shared).
   bool CertainLocked(QueryId id);
+
+  /// Whether the query is achievable from `view`, its seeded view at the
+  /// held locks: the sticky memo when set (counted as achievable_reuse),
+  /// false while the negative stamp holds, otherwise one achievability
+  /// search (no engine mutex held; memo_mu_ only guards the stamp), whose
+  /// answer is memoized. Caller holds the query's LTR check locks, which
+  /// cover every relation the search reads.
+  bool AchievableLocked(QueryId id, const ConfigView& view);
 
   /// Ranking score for the frontier scheduler (cache probes only).
   double ScoreAccess(QueryId id, const Access& access) const;
@@ -555,8 +579,10 @@ class RelevanceEngine {
   mutable std::vector<std::shared_mutex> stripe_mu_;
   /// Guards the frontier (candidates, performed set, adom_seen cursor).
   mutable std::mutex frontier_mu_;
-  /// Guards certainty fields of QueryState.
-  std::mutex certainty_mu_;
+  /// Guards the certainty memo and the negative achievability stamp of
+  /// QueryState (held for memo reads and writes only, never for a
+  /// containment search).
+  std::mutex memo_mu_;
   /// Guards the producible_domains memo.
   std::mutex producible_mu_;
   /// Guards the apply-listener list (taken only to copy it).

@@ -56,6 +56,8 @@
     "Checks refused because the access was not well-formed.")                  \
   X(certainty_reuse, "certainty_reuse", Counter, Live,                         \
     "Certainty results reused at an unchanged stamp.")                         \
+  X(achievable_reuse, "achievable_reuse", Counter, Live,                       \
+    "Uncached LTR checks the achievability memo answered without a search.")   \
   X(producible_reuse, "producible_reuse", Counter, Live,                       \
     "ProducibleDomains fixpoints reused.")                                     \
   X(producible_recomputes, "producible_recomputes", Counter, Live,             \

@@ -135,6 +135,19 @@ bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
   return false;
 }
 
+bool EvalBoolIndexed(const UnionQuery& query, const ConfigView& conf,
+                     IrScratch* scratch) {
+  // A method over no relation: no atom can be witnessed by the access, so
+  // the search matches every atom against `conf`.
+  const AccessMethod no_method;
+  const Access no_access;
+  IrSearch search(conf, no_method, no_access, scratch);
+  for (const ConjunctiveQuery& d : query.disjuncts) {
+    if (search.Run(d)) return true;
+  }
+  return false;
+}
+
 bool IsImmediatelyRelevant(const ConfigView& conf,
                            const AccessMethodSet& acs, const Access& access,
                            const UnionQuery& query) {

@@ -52,6 +52,14 @@ bool HasImmediateWitness(const ConfigView& conf, const AccessMethodSet& acs,
                          const Access& access, const UnionQuery& query,
                          IrScratch* scratch);
 
+/// EvalBool(query, conf) for a Boolean query, by the same indexed search
+/// with the access option off: every atom is matched against `conf`. Works
+/// in `scratch` like HasImmediateWitness, so it allocates nothing once the
+/// buffers have grown (the RelevanceEngine's certainty memo re-evaluates
+/// through it). EvalBool stays the reference.
+bool EvalBoolIndexed(const UnionQuery& query, const ConfigView& conf,
+                     IrScratch* scratch);
+
 }  // namespace rar
 
 #endif  // RAR_RELEVANCE_IMMEDIATE_H_

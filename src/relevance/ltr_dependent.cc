@@ -99,6 +99,48 @@ Result<bool> DependentUCQSearch(const ConfigView& conf,
   return !decision.contained;
 }
 
+// (b) the truncation cut: some dependent method can consume a fresh output
+// value of the access, every other input slot fillable. Read off `conf`
+// and the access alone: the generic response tuple puts a value into every
+// domain of the accessed relation (the binding on inputs, fresh nulls on
+// outputs), so a domain is fillable iff `conf` inhabits it or the
+// relation has an attribute of it.
+bool TruncationCut(const ConfigView& conf, const AccessMethodSet& acs,
+                   const Access& access) {
+  const Schema& schema = *acs.schema();
+  const AccessMethod& m = acs.method(access.method);
+  const Relation& rel = schema.relation(m.relation);
+  auto in_relation = [&](DomainId dom, bool outputs_only) {
+    for (int pos = 0; pos < rel.arity(); ++pos) {
+      if (outputs_only && m.IsInputPosition(pos)) continue;
+      if (rel.attributes[pos].domain == dom) return true;
+    }
+    return false;
+  };
+  for (AccessMethodId mid = 0; mid < acs.size(); ++mid) {
+    const AccessMethod& m2 = acs.method(mid);
+    if (!m2.dependent) continue;
+    const Relation& rel2 = schema.relation(m2.relation);
+    for (int slot : m2.input_positions) {
+      if (!in_relation(rel2.attributes[slot].domain, /*outputs_only=*/true)) {
+        continue;
+      }
+      bool others_fillable = true;
+      for (int other : m2.input_positions) {
+        if (other == slot) continue;
+        const DomainId dom = rel2.attributes[other].domain;
+        if (conf.AdomOfDomain(dom).empty() &&
+            !in_relation(dom, /*outputs_only=*/false)) {
+          others_fillable = false;
+          break;
+        }
+      }
+      if (others_fillable) return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 Result<bool> IsLongTermRelevantDependentCQ(const ConfigView& conf,
@@ -133,7 +175,8 @@ Result<bool> LongTermDependentSearch(const ConfigView& conf,
                                      const AccessMethodSet& acs,
                                      const Access& access,
                                      const UnionQuery& query,
-                                     const ContainmentOptions& options) {
+                                     const ContainmentOptions& options,
+                                     bool achievable) {
   if (acs.IsBoolean(access.method)) {
     if (query.disjuncts.size() == 1) {
       return DependentCQSearch(conf, acs, access, query.disjuncts[0],
@@ -141,17 +184,16 @@ Result<bool> LongTermDependentSearch(const ConfigView& conf,
     }
     return DependentUCQSearch(conf, acs, access, query, options);
   }
-  const Schema& schema = *acs.schema();
-
-  // A generic response tuple: binding on inputs, fresh nulls on outputs.
-  const AccessMethod& m = acs.method(access.method);
-  const Relation& rel = schema.relation(m.relation);
-  NullFactory nulls;
-  Fact generic;
-  generic.relation = m.relation;
-  generic.values.resize(rel.arity());
-  std::vector<DomainId> output_domains;
-  {
+  if (!achievable) {
+    // (c) achievability of the query from conf + the generic response
+    // tuple: binding on inputs, fresh nulls on outputs, overlaid onto the
+    // (uncopied) base.
+    const AccessMethod& m = acs.method(access.method);
+    const Relation& rel = acs.schema()->relation(m.relation);
+    NullFactory nulls;
+    Fact generic;
+    generic.relation = m.relation;
+    generic.values.resize(rel.arity());
     int next_input = 0;
     for (int pos = 0; pos < rel.arity(); ++pos) {
       if (next_input < m.num_inputs() &&
@@ -160,53 +202,29 @@ Result<bool> LongTermDependentSearch(const ConfigView& conf,
         ++next_input;
       } else {
         generic.values[pos] = nulls.Fresh();
-        output_domains.push_back(rel.attributes[pos].domain);
       }
     }
+    OverlayConfiguration conf_plus(&conf);
+    conf_plus.AddFact(generic);
+    RAR_ASSIGN_OR_RETURN(bool reachable,
+                         IsAchievable(conf_plus, acs, query, options));
+    if (!reachable) return false;  // no reachable config satisfies Q
   }
-  // Zero-copy truncation configuration: the generic response is overlaid
-  // onto the (uncopied) base for both probes below.
-  OverlayConfiguration conf_plus(&conf);
-  conf_plus.AddFact(generic);
-
-  // (b) the truncation cut: some dependent method can consume a fresh
-  // output value (every other input slot fillable from conf_plus).
-  bool can_cut = false;
-  for (AccessMethodId mid = 0; mid < acs.size() && !can_cut; ++mid) {
-    const AccessMethod& m2 = acs.method(mid);
-    if (!m2.dependent) continue;
-    const Relation& rel2 = schema.relation(m2.relation);
-    for (int slot : m2.input_positions) {
-      DomainId slot_dom = rel2.attributes[slot].domain;
-      bool consumes_output = false;
-      for (DomainId od : output_domains) consumes_output |= (od == slot_dom);
-      if (!consumes_output) continue;
-      bool others_fillable = true;
-      for (int other : m2.input_positions) {
-        if (other == slot) continue;
-        if (conf_plus.AdomOfDomain(rel2.attributes[other].domain).empty()) {
-          others_fillable = false;
-          break;
-        }
-      }
-      if (others_fillable) {
-        can_cut = true;
-        break;
-      }
-    }
-  }
-
-  // (c) achievability of the query from conf + the generic response.
-  ContainmentEngine engine(schema, acs);
-  RAR_ASSIGN_OR_RETURN(ContainmentDecision achievable,
-                       engine.Achievable(query, conf_plus, options));
-  if (achievable.contained) return false;  // no reachable config satisfies Q
-  if (can_cut) return true;
+  if (TruncationCut(conf, acs, access)) return true;
   return Status::FailedPrecondition(
       "general-access LTR undecided: the query is achievable but no "
       "dependent method can consume any output domain of the access (the "
       "truncation cannot be cut); outside both the paper's Boolean scope "
       "and the cut extension");
+}
+
+Result<bool> IsAchievable(const ConfigView& conf, const AccessMethodSet& acs,
+                          const UnionQuery& query,
+                          const ContainmentOptions& options) {
+  ContainmentEngine engine(*acs.schema(), acs);
+  RAR_ASSIGN_OR_RETURN(ContainmentDecision decision,
+                       engine.Achievable(query, conf, options));
+  return !decision.contained;
 }
 
 }  // namespace rar

@@ -64,11 +64,31 @@ Result<bool> IsLongTermRelevantDependentGeneral(
 /// at `conf` and `query` is not certain there; the caller must already
 /// know both (the RelevanceEngine establishes them under its check locks
 /// before it calls this). Same verdict as the gated entry otherwise.
+///
+/// `achievable` (read only for accesses with outputs) tells that the query
+/// is already known achievable from `conf` itself (IsAchievable). Then
+/// (c) holds without a search — a witness path from `conf` replays after
+/// the access with its generic response, since well-formedness only needs
+/// inputs in the active domain and the query is positive — and the
+/// verdict is the cut's alone: relevant, or FailedPrecondition when
+/// nothing can cut. The RelevanceEngine keeps that knowledge per query
+/// (DESIGN.md "The achievability memo").
 Result<bool> LongTermDependentSearch(const ConfigView& conf,
                                      const AccessMethodSet& acs,
                                      const Access& access,
                                      const UnionQuery& query,
-                                     const ContainmentOptions& options);
+                                     const ContainmentOptions& options,
+                                     bool achievable = false);
+
+/// Achievability of the Boolean `query` from `conf`: true when the
+/// containment witness search finds a configuration reachable from `conf`
+/// that satisfies it (ContainmentEngine::Achievable). Reads the active
+/// domain, the facts of the query's relations, and facts of other method
+/// relations only through probes for facts carrying a fresh or missing
+/// value, which no configuration contains.
+Result<bool> IsAchievable(const ConfigView& conf, const AccessMethodSet& acs,
+                          const UnionQuery& query,
+                          const ContainmentOptions& options);
 
 }  // namespace rar
 

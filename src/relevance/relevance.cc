@@ -40,7 +40,7 @@ Result<bool> RelevanceAnalyzer::LongTerm(const ConfigView& conf,
 
 Result<bool> RelevanceAnalyzer::LongTermSearch(
     const ConfigView& conf, const Access& access, const UnionQuery& query,
-    const RelevanceOptions& options) const {
+    const RelevanceOptions& options, bool achievable) const {
   if (!query.IsBoolean()) {
     return Status::InvalidArgument(
         "LongTerm expects a Boolean query; use LongTermKAry");
@@ -49,7 +49,13 @@ Result<bool> RelevanceAnalyzer::LongTermSearch(
     return LongTermIndependent(conf, access, query, options);
   }
   return LongTermDependentSearch(conf, acs_, access, query,
-                                 VerdictOnly(options));
+                                 VerdictOnly(options), achievable);
+}
+
+Result<bool> RelevanceAnalyzer::Achievable(
+    const ConfigView& conf, const UnionQuery& query,
+    const RelevanceOptions& options) const {
+  return IsAchievable(conf, acs_, query, VerdictOnly(options));
 }
 
 Result<bool> RelevanceAnalyzer::LongTermIndependent(

@@ -51,10 +51,20 @@ class RelevanceAnalyzer {
   /// (LongTermDependentSearch). Only meaningful when `access` is
   /// well-formed at `conf` and `query` is not certain there — the
   /// RelevanceEngine's check core calls it after establishing both under
-  /// its check locks. Same verdict as LongTerm otherwise.
+  /// its check locks. Same verdict as LongTerm otherwise. `achievable`
+  /// passes on what the caller knows: under dependent methods, an access
+  /// with outputs of a query achievable from `conf` (Achievable) is then
+  /// decided by the truncation cut alone, without a containment search.
   Result<bool> LongTermSearch(const ConfigView& conf, const Access& access,
                               const UnionQuery& query,
-                              const RelevanceOptions& options) const;
+                              const RelevanceOptions& options,
+                              bool achievable) const;
+
+  /// Whether some configuration reachable from `conf` satisfies the
+  /// Boolean `query` (IsAchievable, verdict only). Once true it stays
+  /// true as `conf` grows — the RelevanceEngine's achievability memo.
+  Result<bool> Achievable(const ConfigView& conf, const UnionQuery& query,
+                          const RelevanceOptions& options) const;
 
   /// Prop 2.2: k-ary immediate relevance via head instantiation.
   Result<bool> ImmediateKAry(const ConfigView& conf, const Access& access,

@@ -1049,5 +1049,145 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   EXPECT_FALSE(trace.DumpJson(16).empty());
 }
 
+// The achievability memo under concurrent checks. Binding queries
+// Q(i) :- Listing(i, S), Vetted(S), Flag(T) over a marketplace whose Flag
+// values (tags) only Label's output produces, decided with a horizon of
+// no auxiliary facts: while the active domain has no tag, no query is
+// achievable from the view, so the memo's negative stamp is written and
+// read, listing accesses are not relevant, and label accesses are (their
+// generic response carries a tag). Three threads run LTR FirstRelevant
+// scans over accesses with outputs, listing accesses first, while an
+// applier grows the active domain with sellers and then tags; the first
+// tag makes every query achievable and the memo sticks. Load-bearing
+// assertions: once quiesced, every thread's scans equal a sequential
+// recheck on a fresh engine over the final configuration; the memo
+// answered checks; and the run is race-free — the TSan CI job builds
+// this test.
+TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
+  auto schema = std::make_shared<Schema>();
+  const DomainId item = schema->AddDomain("Item");
+  const DomainId seller = schema->AddDomain("Seller");
+  const DomainId tag = schema->AddDomain("Tag");
+  const RelationId listing =
+      *schema->AddRelation("Listing", {{"item", item}, {"seller", seller}});
+  const RelationId vetted = *schema->AddRelation("Vetted", {{"s", seller}});
+  const RelationId label =
+      *schema->AddRelation("Label", {{"item", item}, {"tag", tag}});
+  const RelationId flag = *schema->AddRelation("Flag", {{"t", tag}});
+  AccessMethodSet acs(schema.get());
+  const AccessMethodId m_listing = *acs.Add("listing", listing, {0}, true);
+  (void)*acs.Add("vetted", vetted, {0}, true);
+  const AccessMethodId m_label = *acs.Add("label", label, {0}, true);
+  (void)*acs.Add("flag", flag, {0}, true);
+
+  constexpr int kItems = 4;
+  std::vector<Value> items, sellers, tags;
+  for (int i = 0; i < kItems; ++i) {
+    items.push_back(schema->InternConstant("i" + std::to_string(i)));
+    tags.push_back(schema->InternConstant("t" + std::to_string(i)));
+  }
+  for (int i = 0; i < 3 * kItems; ++i) {
+    sellers.push_back(schema->InternConstant("s" + std::to_string(i)));
+  }
+  Configuration conf(schema.get());
+  for (const Value& v : items) conf.AddSeedConstant(v, item);
+
+  std::vector<UnionQuery> queries;
+  std::vector<Value> heads = items;
+  heads.push_back(schema->InternConstant("i_fresh"));  // a seeded view
+  for (const Value& head : heads) {
+    ConjunctiveQuery cq;
+    const VarId sv = cq.AddVar("S", seller);
+    const VarId tv = cq.AddVar("T", tag);
+    cq.atoms.push_back(
+        Atom{listing, {Term::MakeConst(head), Term::MakeVar(sv)}});
+    cq.atoms.push_back(Atom{vetted, {Term::MakeVar(sv)}});
+    cq.atoms.push_back(Atom{flag, {Term::MakeVar(tv)}});
+    UnionQuery uq;
+    uq.disjuncts.push_back(std::move(cq));
+    queries.push_back(std::move(uq));
+  }
+  std::vector<Access> scanned;  // listing accesses first, then label
+  for (const Value& v : items) scanned.push_back(Access{m_listing, {v}});
+  for (const Value& v : items) scanned.push_back(Access{m_label, {v}});
+
+  EngineOptions opts;
+  opts.num_threads = 1;
+  opts.relevance.containment.max_aux_facts = 0;
+  RelevanceEngine engine(*schema, acs, conf, opts);
+  std::vector<QueryId> qids;
+  for (const UnionQuery& q : queries) qids.push_back(*engine.RegisterQuery(q));
+  auto scan = [&](RelevanceEngine& e, QueryId q) {
+    return e
+        .FirstRelevant(q, CheckKind::kLongTerm, scanned.data(),
+                       scanned.size(), [](AccessMethodId) { return true; },
+                       /*conservative_on_unknown=*/false)
+        .index;
+  };
+  // No tag yet: the first label access is the first relevant one.
+  for (QueryId q : qids) ASSERT_EQ(scan(engine, q), kItems);
+
+  constexpr int kCheckers = 3;
+  std::atomic<bool> stop{false};
+  std::atomic<long> rounds{0};  ///< scan rounds completed, all checkers
+  std::atomic<int> errors{0};
+  std::vector<std::vector<int>> final_scans(kCheckers);
+  std::vector<std::thread> checkers;
+  for (int c = 0; c < kCheckers; ++c) {
+    checkers.emplace_back([&, c]() {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (QueryId q : qids) {
+          if (scan(engine, q) < 0) errors.fetch_add(1);
+          // Leave the applier a gap: growth takes adom_mu_ exclusive.
+          std::this_thread::yield();
+        }
+        rounds.fetch_add(1);
+      }
+      // Quiesced: the applier has finished.
+      for (QueryId q : qids) final_scans[c].push_back(scan(engine, q));
+    });
+  }
+  // Every apply lands while the checkers scan: before it, each has had
+  // about one more round.
+  auto await_rounds = [&]() {
+    const long target = rounds.load() + kCheckers;
+    while (rounds.load() < target) std::this_thread::yield();
+  };
+  // Sellers first (active-domain growth, no tag: the negative stamps
+  // move and are recomputed), then tags (the memo sets), then sellers.
+  auto apply = [&](AccessMethodId m, RelationId rel, int i, Value out) {
+    await_rounds();
+    auto added = engine.ApplyResponse(Access{m, {items[i]}},
+                                      {Fact(rel, {items[i], out})});
+    if (!added.ok()) errors.fetch_add(1);
+  };
+  for (int i = 0; i < kItems; ++i) apply(m_listing, listing, i, sellers[i]);
+  for (int i = 0; i < kItems; ++i) apply(m_label, label, i, tags[i]);
+  for (int i = 0; i < kItems; ++i) {
+    for (int j = 1; j < 3; ++j) {
+      apply(m_listing, listing, i, sellers[j * kItems + i]);
+    }
+  }
+  await_rounds();
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : checkers) t.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  // A sequential recheck on a fresh engine (its memo unset) over the
+  // final configuration.
+  RelevanceEngine fresh(*schema, acs, engine.SnapshotConfig(), opts);
+  std::vector<int> sequential;
+  for (const UnionQuery& q : queries) {
+    sequential.push_back(scan(fresh, *fresh.RegisterQuery(q)));
+  }
+  for (int c = 0; c < kCheckers; ++c) {
+    EXPECT_EQ(final_scans[c], sequential) << "checker " << c;
+  }
+  // Tags arrived: every query is achievable, and a listing access is
+  // relevant again.
+  for (int index : sequential) EXPECT_EQ(index, 0);
+  EXPECT_GT(engine.stats().achievable_reuse, 0u);
+}
+
 }  // namespace
 }  // namespace rar

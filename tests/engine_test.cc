@@ -19,6 +19,8 @@
 #include "engine/frontier.h"
 #include "engine/worker_pool.h"
 #include "query/eval.h"
+#include "reference/brute_force.h"
+#include "relevance/head_instantiator.h"
 #include "relevance/immediate.h"
 #include "relevance/relevance.h"
 #include "sim/deep_web.h"
@@ -967,6 +969,290 @@ TEST(RelevanceEngineTest, FirstRelevantEqualsPerAccessLoop) {
   EXPECT_GT(out_of_scope_seen, 0);
   EXPECT_GT(scanning.stats().wf_rejections, 0u);
   EXPECT_GT(scanning.stats().sticky_hits, 0u);
+}
+
+// ------------------------------------------------- achievability memo
+
+// A random schema over two domains under dependent methods: three
+// relations of arity 1 or 2, one dependent method each with a random
+// input set, so some methods are Boolean, some have outputs, and some
+// output domains feed no method input (the truncation cannot be cut).
+struct TwoDomainWorld {
+  Scenario scenario;
+  Configuration hidden;
+  std::vector<std::vector<Value>> constants;  ///< by domain
+};
+
+TwoDomainWorld RandomTwoDomainWorld(Rng* rng) {
+  TwoDomainWorld w;
+  Scenario& s = w.scenario;
+  s.schema = std::make_shared<Schema>();
+  const DomainId domains[] = {s.schema->AddDomain("D"),
+                              s.schema->AddDomain("E")};
+  s.acs = AccessMethodSet(s.schema.get());
+  for (int r = 0; r < 3; ++r) {
+    std::vector<DomainId> attrs(1 + rng->Below(2));
+    for (DomainId& d : attrs) d = domains[rng->Below(2)];
+    const RelationId rel =
+        *s.schema->AddRelation("R" + std::to_string(r), attrs);
+    std::vector<int> inputs;
+    for (int pos = 0; pos < static_cast<int>(attrs.size()); ++pos) {
+      if (rng->Chance(0.5)) inputs.push_back(pos);
+    }
+    (void)*s.acs.Add("m" + std::to_string(r), rel, inputs,
+                     /*dependent=*/true);
+  }
+  w.constants.resize(2);
+  for (int d = 0; d < 2; ++d) {
+    for (int i = 0; i < 3; ++i) {
+      w.constants[d].push_back(s.schema->InternConstant(
+          std::string(1, "de"[d]) + std::to_string(i)));
+    }
+  }
+  w.hidden = Configuration(s.schema.get());
+  for (RelationId rel = 0; rel < s.schema->num_relations(); ++rel) {
+    const Relation& r = s.schema->relation(rel);
+    for (int i = 0; i < 4; ++i) {
+      Fact f;
+      f.relation = rel;
+      for (const Attribute& a : r.attributes) {
+        f.values.push_back(rng->Pick(w.constants[a.domain]));
+      }
+      w.hidden.AddFact(f);
+    }
+  }
+  // One known value of D, and of E only sometimes: a query that needs a
+  // value of an empty domain must produce one first.
+  s.conf = Configuration(s.schema.get());
+  s.conf.AddSeedConstant(w.constants[0][0], 0);
+  if (rng->Chance(0.5)) s.conf.AddSeedConstant(w.constants[1][0], 1);
+  return w;
+}
+
+// A random CQ with one head variable: `num_atoms` atoms over random
+// relations, each position a variable of its domain (two per domain) or,
+// with probability 0.2, one of the world's constants of that domain.
+ConjunctiveQuery RandomUnaryQuery(Rng* rng, const TwoDomainWorld& w,
+                                  int num_atoms) {
+  const Schema& schema = *w.scenario.schema;
+  ConjunctiveQuery cq;
+  std::vector<std::vector<VarId>> vars(2);
+  for (DomainId d = 0; d < 2; ++d) {
+    for (int i = 0; i < 2; ++i) {
+      vars[d].push_back(
+          cq.AddVar(std::string(1, "XY"[d]) + std::to_string(i), d));
+    }
+  }
+  for (int i = 0; i < num_atoms; ++i) {
+    Atom atom;
+    atom.relation =
+        static_cast<RelationId>(rng->Below(schema.num_relations()));
+    for (const Attribute& a : schema.relation(atom.relation).attributes) {
+      atom.terms.push_back(
+          rng->Chance(0.2) ? Term::MakeConst(rng->Pick(w.constants[a.domain]))
+                           : Term::MakeVar(rng->Pick(vars[a.domain])));
+    }
+    cq.atoms.push_back(std::move(atom));
+  }
+  std::vector<VarId> occurring;
+  for (VarId v = 0; v < static_cast<VarId>(cq.num_vars()); ++v) {
+    if (cq.VarOccurs(v)) occurring.push_back(v);
+  }
+  if (!occurring.empty()) cq.head = {rng->Pick(occurring)};
+  return cq;
+}
+
+// A fixed two-domain world where only the generic response makes a query
+// achievable within a horizon of no auxiliary facts: Q(X) :- R2(X), R1(Y)
+// needs a value of E, which the configuration lacks and only R0's output
+// produces. From the view, R1(Y) waits for an auxiliary R0 fact; from the
+// view plus the generic response of R0's access, Y maps to the response's
+// output. R3's access also has outputs, but in D: its generic response
+// does not help, so a memo set from R0's search would misjudge it.
+TwoDomainWorld GenericOnlyWorld() {
+  TwoDomainWorld w;
+  Scenario& s = w.scenario;
+  s.schema = std::make_shared<Schema>();
+  const DomainId d = s.schema->AddDomain("D");
+  const DomainId e = s.schema->AddDomain("E");
+  using Domains = std::vector<DomainId>;
+  const RelationId r0 = *s.schema->AddRelation("R0", Domains{d, e});
+  const RelationId r1 = *s.schema->AddRelation("R1", Domains{e});
+  const RelationId r2 = *s.schema->AddRelation("R2", Domains{d});
+  const RelationId r3 = *s.schema->AddRelation("R3", Domains{d, d});
+  s.acs = AccessMethodSet(s.schema.get());
+  (void)*s.acs.Add("m0", r0, {0}, /*dependent=*/true);
+  (void)*s.acs.Add("m1", r1, {0}, /*dependent=*/true);
+  (void)*s.acs.Add("m2", r2, {0}, /*dependent=*/true);
+  (void)*s.acs.Add("m3", r3, {0}, /*dependent=*/true);
+  w.constants.resize(2);
+  for (const char* name : {"d0", "d1"}) {
+    w.constants[d].push_back(s.schema->InternConstant(name));
+  }
+  w.constants[e].push_back(s.schema->InternConstant("e0"));
+  const Value d0 = w.constants[d][0], d1 = w.constants[d][1];
+  const Value e0 = w.constants[e][0];
+  w.hidden = Configuration(s.schema.get());
+  w.hidden.AddFact(Fact(r0, {d1, e0}));
+  w.hidden.AddFact(Fact(r1, {e0}));
+  w.hidden.AddFact(Fact(r2, {d0}));
+  w.hidden.AddFact(Fact(r3, {d0, d1}));
+  s.conf = Configuration(s.schema.get());
+  s.conf.AddSeedConstant(d0, d);
+  return w;
+}
+
+// The per-query achievability memo against the one-shot decider. In
+// two-domain worlds grown through ApplyResponse, after every apply each
+// (binding query, well-formed pending access with outputs) LTR outcome of
+// the engine — relevant, not relevant, or FailedPrecondition — equals
+// IsLongTermRelevantDependentGeneral over a snapshot seeded with the
+// query's constants (the engine's check-time view), under the engine's
+// containment options; with a horizon of 4 auxiliary facts and at most
+// two atoms it also equals BruteForceLTR. The binding queries are a
+// unary query's Prop 2.2 instantiations: every active-domain value of the
+// head's domain at registration, plus the instantiator's fresh constant
+// (a seeded view). Horizons vary (0, 1 or 4 auxiliary facts): the memo and
+// the search part ways exactly there, since the search from the view plus
+// the generic response can need one auxiliary fact fewer than the search
+// from the view alone. The run must meet a query achievable only thanks
+// to the generic response (the memo stays unset, the search runs), an
+// achievable access nothing can cut, a fresh head constant, and checks
+// the memo answered.
+TEST(RelevanceEngineTest, AchievabilityMemoMatchesOneShotDecider) {
+  int generic_only = 0;
+  int uncuttable = 0;
+  int fresh_compared = 0;
+  int brute_compared = 0;
+  uint64_t memo_answers = 0;
+  auto run = [&](const TwoDomainWorld& w,
+                 std::vector<ConjunctiveQuery> queries, int horizon,
+                 Rng* rng, const std::string& label) {
+    const Scenario& s = w.scenario;
+    const Schema& schema = *s.schema;
+    EngineOptions opts;
+    opts.num_threads = 1;
+    opts.relevance.containment.max_aux_facts = horizon;
+    ContainmentOptions copts = opts.relevance.containment;
+    copts.build_witness = false;
+    RelevanceEngine engine(schema, s.acs, s.conf, opts);
+
+    struct Bound {
+      UnionQuery query;
+      QueryId id;
+      bool fresh;
+    };
+    std::vector<Bound> bound;
+    for (ConjunctiveQuery& cq : queries) {
+      if (cq.head.empty() || !cq.Validate(schema).ok()) continue;
+      UnionQuery kary;
+      kary.disjuncts.push_back(cq);
+      HeadInstantiator inst(schema, kary);
+      ASSERT_TRUE(inst.status().ok());
+      std::vector<Value> heads =
+          s.conf.AdomOfDomain(inst.slot_domain(0)).ToVector();
+      heads.push_back(inst.fresh_constants()[0].value);
+      for (const Value& v : heads) {
+        UnionQuery bq = inst.Instantiate({v});
+        if (bq.disjuncts.empty()) continue;
+        Result<QueryId> id = engine.RegisterQuery(bq);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        bound.push_back({bq, *id, v == heads.back()});
+      }
+    }
+
+    for (int step = 0; step < 6; ++step) {
+      const std::vector<Access> pending = engine.PendingAccesses();
+      if (pending.empty()) break;
+      for (const Bound& b : bound) {
+        Configuration seeded = engine.SnapshotConfig();
+        SeedQueryConstants(&seeded, b.query, schema);
+        for (const Access& a : pending) {
+          if (s.acs.IsBoolean(a.method)) continue;
+          ASSERT_TRUE(engine.ValidateAccess(a).ok());
+          const CheckOutcome got = engine.CheckLongTerm(b.id, a);
+          const Result<bool> want = IsLongTermRelevantDependentGeneral(
+              seeded, s.acs, a, b.query, copts);
+          const std::string where =
+              label + " step " + std::to_string(step) + " query " +
+              b.query.disjuncts[0].ToString(schema) + " access " +
+              a.ToString(schema, s.acs);
+          ASSERT_EQ(got.ok(), want.ok())
+              << where << ": engine " << got.status.ToString()
+              << ", one-shot " << want.status().ToString();
+          if (!want.ok()) {
+            EXPECT_EQ(got.status.code(), want.status().code()) << where;
+            ++uncuttable;
+            continue;
+          }
+          ASSERT_EQ(got.relevant, *want) << where;
+          if (b.fresh) ++fresh_compared;
+          if (*want && !EvalBool(b.query, seeded) &&
+              !*IsAchievable(seeded, s.acs, b.query, copts)) {
+            ++generic_only;
+          }
+          // Brute force explores three accesses after the first: enough
+          // for a witness of two facts plus the access that cuts the
+          // truncation.
+          if (horizon == 4 && b.query.disjuncts[0].num_atoms() <= 2) {
+            BruteForceOptions brute;
+            brute.max_steps = 3;
+            brute.max_first_response = 2;
+            EXPECT_EQ(BruteForceLTR(seeded, s.acs, a, b.query, brute), *want)
+                << "brute force, " << where;
+            ++brute_compared;
+          }
+        }
+      }
+      // Grow: answer a random pending access from the hidden instance.
+      const Access& apply = rng->Pick(pending);
+      const AccessMethod& m = s.acs.method(apply.method);
+      std::vector<Fact> response;
+      for (const Fact& f : w.hidden.FactsOf(m.relation)) {
+        bool matches = true;
+        for (int i = 0; i < m.num_inputs(); ++i) {
+          matches &= f.values[m.input_positions[i]] == apply.binding[i];
+        }
+        if (matches) response.push_back(f);
+      }
+      ASSERT_TRUE(engine.ApplyResponse(apply, response).ok());
+    }
+    memo_answers += engine.stats().achievable_reuse;
+  };
+
+  {
+    const TwoDomainWorld w = GenericOnlyWorld();
+    ConjunctiveQuery cq;
+    const VarId x = cq.AddVar("X", 0);
+    const VarId y = cq.AddVar("Y", 1);
+    cq.atoms.push_back(Atom{2, {Term::MakeVar(x)}});
+    cq.atoms.push_back(Atom{1, {Term::MakeVar(y)}});
+    cq.head = {x};
+    for (int horizon : {0, 4}) {
+      Rng rng(horizon + 1);
+      run(w, {cq}, horizon, &rng,
+          "generic-only world, horizon " + std::to_string(horizon));
+      if (HasFatalFailure()) return;
+    }
+  }
+  for (uint64_t seed = 1; seed <= 18; ++seed) {
+    Rng rng(seed * 2654435761u + 7);
+    const TwoDomainWorld w = RandomTwoDomainWorld(&rng);
+    std::vector<ConjunctiveQuery> queries;
+    for (int q = 0; q < 2; ++q) {
+      queries.push_back(
+          RandomUnaryQuery(&rng, w, static_cast<int>(rng.Range(1, 3))));
+    }
+    const int horizons[] = {0, 1, 4};
+    run(w, queries, horizons[seed % 3], &rng,
+        "seed " + std::to_string(seed));
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GT(generic_only, 0) << "no query achievable only with the response";
+  EXPECT_GT(uncuttable, 0) << "no achievable access that nothing can cut";
+  EXPECT_GT(fresh_compared, 0) << "no binding over a fresh head constant";
+  EXPECT_GT(brute_compared, 0);
+  EXPECT_GT(memo_answers, 0u) << "the memo never answered";
 }
 
 TEST(RelevanceEngineTest, ProducibleDomainsFixpointIsReusedWithinEpoch) {

@@ -526,6 +526,7 @@ MetricsExport MakeSample(const Schema* schema) {
   s.stale_invalidations = 103;
   s.wf_rejections = 104;
   s.certainty_reuse = 105;
+  s.achievable_reuse = 121;
   s.producible_reuse = 106;
   s.producible_recomputes = 107;
   s.epoch_advances = 108;
@@ -709,7 +710,8 @@ constexpr char kGoldenJson[] =
     R"("uncached_ltr_checks":2,"cache_hits":6,"cache_misses":6,)"
     R"("sticky_hits":101,"cross_epoch_hits":102,)"
     R"("stale_invalidations":103,"wf_rejections":104,)"
-    R"("certainty_reuse":105,"producible_reuse":106,)"
+    R"("certainty_reuse":105,"achievable_reuse":121,)"
+    R"("producible_reuse":106,)"
     R"("producible_recomputes":107,"epoch_advances":108,)"
     R"("adom_advances":109,"facts_applied":110,"responses_applied":111,)"
     R"("overlapped_applies":112,"overlapped_checks":113,)"
@@ -784,6 +786,8 @@ rar_engine_stale_invalidations_total 103
 rar_engine_wf_rejections_total 104
 # TYPE rar_engine_certainty_reuse_total counter
 rar_engine_certainty_reuse_total 105
+# TYPE rar_engine_achievable_reuse_total counter
+rar_engine_achievable_reuse_total 121
 # TYPE rar_engine_producible_reuse_total counter
 rar_engine_producible_reuse_total 106
 # TYPE rar_engine_producible_recomputes_total counter

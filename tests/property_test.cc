@@ -9,6 +9,7 @@
 #include "query/eval.h"
 #include "reference/brute_force.h"
 #include "relevance/head_instantiator.h"
+#include "relevance/immediate.h"
 #include "relevance/relevance.h"
 #include "util/rng.h"
 #include "workload/generators.h"
@@ -211,6 +212,42 @@ TEST_P(PropertyTest, IndexedIRMatchesBruteForceOnDenseScenarios) {
     compare(twins, access, "twin");
   }
   EXPECT_GT(compared, 8) << "too few valid (query, access) pairs";
+}
+
+// --- The engine's certainty search against EvalBool. ---
+// EvalBoolIndexed — the IR search with the access option off, through
+// which the engine's certainty memo re-evaluates — against EvalBool on the
+// dense configurations above: random UCQs of one to three disjuncts, each
+// of two to four atoms over two or three variables, so self-joins,
+// variables repeated within an atom and constants all occur, and index
+// lookups on bound positions plus backtracking decide the answer. One
+// scratch serves every query, as the engine's per-thread scratch does.
+TEST_P(PropertyTest, IndexedEvalBoolMatchesEvalBoolOnDenseScenarios) {
+  Rng rng(GetParam() * 7727 + 5);
+  Scenario s = DenseScenario(&rng);
+  IrScratch scratch;
+  int holds = 0;
+  int fails = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    UnionQuery q;
+    const int disjuncts = static_cast<int>(rng.Range(1, 3));
+    bool valid = true;
+    for (int d = 0; d < disjuncts; ++d) {
+      q.disjuncts.push_back(RandomQuery(&rng, s,
+                                        static_cast<int>(rng.Range(2, 4)),
+                                        static_cast<int>(rng.Range(2, 3)),
+                                        0.2));
+      valid = valid && q.disjuncts.back().Validate(*s.schema).ok();
+    }
+    if (!valid) continue;
+    const bool want = EvalBool(q, s.conf);
+    EXPECT_EQ(EvalBoolIndexed(q, s.conf, &scratch), want)
+        << "seed " << GetParam() << " trial " << trial << " first disjunct "
+        << q.disjuncts[0].ToString(*s.schema);
+    ++(want ? holds : fails);
+  }
+  EXPECT_GT(holds, 0);
+  EXPECT_GT(fails, 0);
 }
 
 // --- Independent LTR against the raw semantics. ---
