@@ -39,6 +39,19 @@ std::vector<Access> CandidateBatch(const rar::Scenario& s) {
   return probe.PendingAccesses();
 }
 
+// Checks each access of `batch` once, one engine call per access, and
+// returns the number of checks.
+long CheckEach(RelevanceEngine& engine, QueryId q, CheckKind kind,
+               const std::vector<Access>& batch) {
+  for (const Access& a : batch) {
+    const CheckOutcome out = kind == CheckKind::kImmediate
+                                 ? engine.CheckImmediate(q, a)
+                                 : engine.CheckLongTerm(q, a);
+    benchmark::DoNotOptimize(out.relevant);
+  }
+  return static_cast<long>(batch.size());
+}
+
 // ------------------------------------------------------------- IR, clique
 
 void BM_RepeatedIR_Clique_Direct(benchmark::State& state) {
@@ -71,10 +84,7 @@ void BM_RepeatedIR_Clique_Engine(benchmark::State& state) {
   std::vector<Access> batch = engine.PendingAccesses();
   long checks = 0;
   for (auto _ : state) {
-    std::vector<CheckOutcome> out =
-        engine.CheckBatch(q, CheckKind::kImmediate, batch);
-    benchmark::DoNotOptimize(out.data());
-    checks += static_cast<long>(out.size());
+    checks += CheckEach(engine, q, CheckKind::kImmediate, batch);
   }
   EngineStats stats = engine.stats();
   state.SetItemsProcessed(checks);
@@ -114,10 +124,7 @@ void BM_RepeatedLTR_Star_Engine(benchmark::State& state) {
   std::vector<Access> batch = engine.PendingAccesses();
   long checks = 0;
   for (auto _ : state) {
-    std::vector<CheckOutcome> out =
-        engine.CheckBatch(q, CheckKind::kLongTerm, batch);
-    benchmark::DoNotOptimize(out.data());
-    checks += static_cast<long>(out.size());
+    checks += CheckEach(engine, q, CheckKind::kLongTerm, batch);
   }
   EngineStats stats = engine.stats();
   state.SetItemsProcessed(checks);
@@ -157,10 +164,7 @@ void BM_RepeatedLTR_Chain_Engine(benchmark::State& state) {
   std::vector<Access> batch = engine.PendingAccesses();
   long checks = 0;
   for (auto _ : state) {
-    std::vector<CheckOutcome> out =
-        engine.CheckBatch(q, CheckKind::kLongTerm, batch);
-    benchmark::DoNotOptimize(out.data());
-    checks += static_cast<long>(out.size());
+    checks += CheckEach(engine, q, CheckKind::kLongTerm, batch);
   }
   EngineStats stats = engine.stats();
   state.SetItemsProcessed(checks);
@@ -203,9 +207,7 @@ void RunMixedGrowth(benchmark::State& state, bool footprint_invalidation) {
 
     size_t gi = 0;
     for (int round = 0; round < 8; ++round) {
-      std::vector<CheckOutcome> out =
-          engine.CheckBatch(q, CheckKind::kLongTerm, batch);
-      checks += static_cast<long>(out.size());
+      checks += CheckEach(engine, q, CheckKind::kLongTerm, batch);
       if (gi < growth.size()) {
         (void)engine.ApplyResponse(growth[gi].first, growth[gi].second);
         ++gi;
@@ -255,9 +257,7 @@ void BM_Stream_Clique_Engine(benchmark::State& state) {
     for (int round = 0; round < 6 && !edges.empty(); ++round) {
       std::vector<Access> batch = engine.CandidateAccesses(q);
       if (batch.size() > 32) batch.resize(32);
-      std::vector<CheckOutcome> out =
-          engine.CheckBatch(q, CheckKind::kImmediate, batch);
-      checks += static_cast<long>(out.size());
+      checks += CheckEach(engine, q, CheckKind::kImmediate, batch);
       rar::Fact next = edges.back();
       edges.pop_back();
       Access free_probe;
@@ -307,10 +307,8 @@ struct BindingScan {
                                      rar::Term::MakeVar(w)}});
     rar::UnionQuery q;
     q.disjuncts.push_back(std::move(cq));
-    EngineOptions opts;
-    opts.num_threads = 1;
-    engine = std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf),
-                                               opts);
+    engine =
+        std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf));
     qid = *engine->RegisterQuery(q);
     for (int i = 1; i <= n; ++i) accesses.push_back(Access{mr, {values[i]}});
   }
@@ -411,10 +409,8 @@ struct TruncationCutCheck {
     cq.atoms.push_back(rar::Atom{s, {rar::Term::MakeVar(y)}});
     rar::UnionQuery q;
     q.disjuncts.push_back(std::move(cq));
-    EngineOptions opts;
-    opts.num_threads = 1;
-    engine = std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf),
-                                               opts);
+    engine =
+        std::make_unique<RelevanceEngine>(*schema, *acs, std::move(conf));
     qid = *engine->RegisterQuery(q);
     access = Access{mr, {v}};
   }

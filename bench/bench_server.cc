@@ -4,16 +4,17 @@
 // RelevanceStreamRegistry behind a SessionServer with open admission;
 // S subscriber sessions (default 1000) each hold their own loopback
 // channel + client, register a per-group stream, and are driven closed
-// loop by a bounded worker pool (poll → verify gap-free contiguous
-// sequences → acknowledge), while A applier sessions replay the hidden
-// instance's crawl scripts. Every request crosses the real wire codec
-// (LoopbackChannel encodes and re-parses frames, CRC included). The line
-// reports sustained request throughput and the server-side latency
-// histograms (p50/p99 of server_request_ns / server_apply_ns /
-// server_poll_ns). When the dust settles, every subscriber's served
-// snapshot must match a fresh engine + registry fed the same responses
-// — the parity gate; any mismatch, sequence gap, or failed call is a
-// hard failure (non-zero exit), not a bench number.
+// loop by a fixed number of poller threads (default 4, whatever the
+// host; poll → verify gap-free contiguous sequences → acknowledge), while
+// A applier sessions replay the hidden instance's crawl scripts. Every
+// request crosses the real wire codec (LoopbackChannel encodes and
+// re-parses frames, CRC included). The line reports sustained request
+// throughput and the server-side latency histograms (p50/p99 of
+// server_request_ns / server_apply_ns / server_poll_ns). When the dust
+// settles, every subscriber's served snapshot must match a fresh engine
+// + registry fed the same responses — the parity gate; any mismatch,
+// sequence gap, or failed call is a hard failure (non-zero exit), not a
+// bench number.
 //
 // Sweep 2 (bench "server_shed"): overload. The same workload offered to
 // a server with a session cap below the offered load, a tight backlog
@@ -229,10 +230,8 @@ int main(int argc, char** argv) {
   long subscribers = 1000;
   long groups = 8;
   long rounds = 4;
-  long pollers = static_cast<long>(std::thread::hardware_concurrency());
+  long pollers = 4;
   uint64_t seed = 1;
-  if (pollers < 2) pollers = 2;
-  if (pollers > 16) pollers = 16;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--subscribers=", 14) == 0) {
       subscribers = std::atol(argv[i] + 14);
@@ -558,11 +557,9 @@ int main(int argc, char** argv) {
 
   // Sweep 1: open admission, default engine — capacity and parity.
   {
-    ServerOptions sopts;
-    EngineOptions eopts;
-    eopts.num_threads = 2;
     SweepResult r = run_sweep("server_closed_loop", subscribers, groups,
-                              rounds, pollers, sopts, eopts);
+                              rounds, pollers, ServerOptions{},
+                              EngineOptions{});
     emit(r.line);
     if (!r.ok) failed = true;
   }
@@ -802,11 +799,9 @@ int main(int argc, char** argv) {
     SweepResult best[3];
     for (int rep = 0; rep < kRepeats; ++rep) {
       for (int i = 0; i < 3; ++i) {
-        EngineOptions eopts;
-        eopts.num_threads = 2;
         SweepResult r =
             run_sweep("server_subscriber_sweep", sizes[i], kSweepGroups, rounds,
-                      kSweepPollers, ServerOptions{}, eopts);
+                      kSweepPollers, ServerOptions{}, EngineOptions{});
         if (!r.ok) failed = true;
         if (rep == 0 || r.apply_p50_ns < best[i].apply_p50_ns) {
           best[i] = std::move(r);

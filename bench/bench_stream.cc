@@ -181,9 +181,7 @@ int main(int argc, char** argv) {
     }
 
     // --- Incremental: standing stream, apply-driven maintenance --------
-    EngineOptions eopts;
-    eopts.num_threads = 1;  // keep the comparison purely algorithmic
-    RelevanceEngine engine(schema, acs, initial, eopts);
+    RelevanceEngine engine(schema, acs, initial);
     RelevanceStreamRegistry registry(&engine);
     StreamOptions sopts;  // IR-only
     auto sid = registry.Register(uq, sopts);
@@ -331,9 +329,7 @@ int main(int argc, char** argv) {
     auto run_mode = [&](bool force_full, double* ms, uint64_t* rechecks,
                         EngineStats* st_out, StreamSnapshot* snap,
                         ObsSnapshot* obs) -> bool {
-      EngineOptions eopts;
-      eopts.num_threads = 1;  // keep the comparison purely algorithmic
-      RelevanceEngine engine(schema, acs, initial, eopts);
+      RelevanceEngine engine(schema, acs, initial);
       RelevanceStreamRegistry registry(&engine);
       StreamOptions sopts;  // IR-only
       sopts.force_full_recheck = force_full;
@@ -493,9 +489,7 @@ int main(int argc, char** argv) {
     auto run_mode = [&](bool force_full, double* ms, uint64_t* rechecks,
                         EngineStats* st_out, StreamSnapshot* snap,
                         ObsSnapshot* obs) -> bool {
-      EngineOptions eopts;
-      eopts.num_threads = 1;  // keep the comparison purely algorithmic
-      RelevanceEngine engine(schema, acs, initial, eopts);
+      RelevanceEngine engine(schema, acs, initial);
       RelevanceStreamRegistry registry(&engine);
       StreamOptions sopts;  // IR-only
       sopts.force_full_recheck = force_full;

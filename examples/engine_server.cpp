@@ -52,9 +52,7 @@ int main() {
   DeepWebSource source(s.schema.get(), &s.acs, s.conf);
 
   // ---- server side ---------------------------------------------------
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  RelevanceEngine engine(*s.schema, s.acs, initial, eopts);
+  RelevanceEngine engine(*s.schema, s.acs, initial);
   RelevanceStreamRegistry registry(&engine);
 
   ServerOptions sopts;

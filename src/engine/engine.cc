@@ -19,14 +19,6 @@ IrScratch* ThreadIrScratch() {
   return &scratch;
 }
 
-int ResolveThreads(int requested) {
-  if (requested > 0) return requested;
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  if (hw > 8) hw = 8;
-  return static_cast<int>(hw);
-}
-
 }  // namespace
 
 /// RAII gauge used by the overlap telemetry.
@@ -55,11 +47,7 @@ RelevanceEngine::RelevanceEngine(const Schema& schema,
       conf_(std::move(initial)),
       frontier_(schema, acs),
       cache_(options_.cache_capacity),
-      obs_(options_.obs),
-      pool_(ResolveThreads(options_.num_threads)) {
-  // Before the first Submit spawns any worker: the pool reads the pointer
-  // from its threads.
-  pool_.set_queue_wait_histogram(&obs_.queue_wait_ns);
+      obs_(options_.obs) {
   // Freeze the store layout: after this, growing relation R never
   // reallocates another relation's store, which is what the striped locks
   // rely on.
@@ -217,7 +205,7 @@ Result<int> RelevanceEngine::ApplyResponse(const Access& access,
     // The response introduces values: retake the Adom lock exclusively
     // (the one global serialization point — everything Adom-dependent
     // must not observe the growth mid-check).
-    std::unique_lock<std::shared_mutex> adom(adom_mu_);
+    std::unique_lock<std::shared_mutex> adom = LockAdomForGrowth();
     return ApplyLocked(access, response, &event, collect);
   }();
   // Listeners run with every engine lock released: they may call back
@@ -561,6 +549,20 @@ bool RelevanceEngine::IsCertain(QueryId id) {
   return CertainLocked(id);
 }
 
+std::unique_lock<std::shared_mutex> RelevanceEngine::LockAdomForGrowth() {
+  {
+    std::lock_guard<std::mutex> gate(adom_gate_mu_);
+    adom_growers_waiting_.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::unique_lock<std::shared_mutex> adom(adom_mu_);
+  {
+    std::lock_guard<std::mutex> gate(adom_gate_mu_);
+    adom_growers_waiting_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  adom_gate_cv_.notify_all();
+  return adom;
+}
+
 class RelevanceEngine::CheckLocks {
  public:
   explicit CheckLocks(const RelevanceEngine& engine)
@@ -568,6 +570,16 @@ class RelevanceEngine::CheckLocks {
         state_(engine.state_mu_) {
     if (engine.active_applies_.load(std::memory_order_relaxed) > 0) {
       engine.counters_.Bump(engine.counters_.overlapped_checks);
+    }
+    // A new scope lets a waiting growth apply go first (adom_gate_mu_).
+    // The scopes already in flight finish, so the apply gets adom_mu_.
+    // No caller holds adom_mu_ here, so waiting cannot deadlock.
+    if (engine.adom_growers_waiting_.load(std::memory_order_relaxed) > 0) {
+      std::unique_lock<std::mutex> gate(engine.adom_gate_mu_);
+      engine.adom_gate_cv_.wait(gate, [&engine] {
+        return engine.adom_growers_waiting_.load(
+                   std::memory_order_relaxed) == 0;
+      });
     }
     adom_ = std::shared_lock<std::shared_mutex>(engine.adom_mu_);
   }
@@ -793,33 +805,6 @@ RelevanceEngine::ScanOutcome RelevanceEngine::FirstRelevant(
   }
   result.certain = scope.certain();
   return result;
-}
-
-std::vector<CheckOutcome> RelevanceEngine::CheckBatch(
-    QueryId id, CheckKind kind, const std::vector<Access>& accesses) {
-  ScopedTimer batch_timer(&obs_.batch_ns);
-  counters_.Bump(counters_.batch_calls);
-  counters_.Bump(counters_.batch_items,
-                 static_cast<uint64_t>(accesses.size()));
-  std::vector<CheckOutcome> results(accesses.size());
-  if (accesses.empty()) return results;
-
-  CheckLocks locks(*this);
-  uint64_t stripes = QueryStripes(id, kind);
-  for (const Access& a : accesses) stripes |= AccessedStripe(a);
-  locks.PinStripes(stripes);
-  auto check = [&](size_t i) {
-    CheckScope scope(this, id, kind);
-    results[i] = CheckLocked(&scope, accesses[i]);
-  };
-  if (accesses.size() == 1 || pool_.size() == 1) {
-    for (size_t i = 0; i < accesses.size(); ++i) check(i);
-    return results;
-  }
-  // Workers share the caller's locks: the pool runs strictly inside this
-  // scope, so the footprint's shards cannot move underneath them.
-  pool_.ParallelFor(accesses.size(), check);
-  return results;
 }
 
 double RelevanceEngine::ScoreAccess(QueryId id, const Access& access) const {

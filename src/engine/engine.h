@@ -23,8 +23,9 @@
 //    checks over disjoint footprints (IR *and* LTR: the deciders read
 //    zero-copy overlay views, so nothing needs the whole configuration)
 //    and with each other;
-//  * batch + concurrent API — `CheckBatch` fans a span of accesses out
-//    over a worker pool;
+//  * caller-thread checks — every check runs on the thread that asks
+//    for it (the engine owns no threads), so concurrency is the callers'
+//    own: checks and applies from many threads overlap under the locks;
 //  * scans — `FirstRelevant` finds the first relevant access of a list
 //    under one acquisition of the check locks, deriving the query's
 //    certainty and seeded view once per scan (the stream registry's
@@ -47,7 +48,9 @@
 #define RAR_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <type_traits>
@@ -59,7 +62,6 @@
 #include "engine/decision_cache.h"
 #include "engine/frontier.h"
 #include "engine/stats.h"
-#include "engine/worker_pool.h"
 #include "obs/obs.h"
 #include "query/footprint.h"
 #include "query/query.h"
@@ -74,8 +76,8 @@ class OverlayConfiguration;
 
 /// \brief Construction-time knobs for a RelevanceEngine.
 struct EngineOptions {
-  /// Worker threads for CheckBatch. 0 = one per hardware thread, clamped
-  /// to [1, 8] (the deciders are CPU-bound; oversubscription only churns).
+  /// Ignored: every check runs on its caller's thread. Kept so that the
+  /// benchmark harness, which sets it, still compiles.
   int num_threads = 0;
   /// Disable to force every check through the deciders (used by the
   /// validation tests and the bench baseline).
@@ -224,9 +226,8 @@ class MethodFilter {
 ///  * Checks take `state_mu_` shared, `adom_mu_` shared, and the stripe
 ///    locks of their footprint shared (a 64-bit stripe mask: the query's
 ///    mask, fixed at RegisterQuery, or'd with each accessed method's
-///    stripe), once per call: one access (CheckImmediate / CheckLongTerm),
-///    a batch (CheckBatch) or a scan (FirstRelevant). LTR checks included:
-///    the deciders read
+///    stripe), once per call: one access (CheckImmediate / CheckLongTerm)
+///    or a scan (FirstRelevant). LTR checks included: the deciders read
 ///    through ConfigView overlays (relational/overlay.h) instead of
 ///    copying the configuration, so they pin only the relations they read
 ///    (plus, under dependent methods, relations with methods — the
@@ -236,7 +237,9 @@ class MethodFilter {
 ///    shared — exclusive only when the response introduces values new to
 ///    the active domain — and stripe(R) exclusive. Applies to different
 ///    relations run concurrently with each other and with checks whose
-///    footprint avoids R.
+///    footprint avoids R. While a growing apply waits for `adom_mu_`, new
+///    checks wait for it (LockAdomForGrowth), so overlapping checks
+///    cannot keep it out.
 ///  * `RegisterQuery` / `SnapshotConfig` take `state_mu_` exclusive.
 class RelevanceEngine {
  public:
@@ -324,11 +327,6 @@ class RelevanceEngine {
   /// Long-term relevance of `access` for the registered query.
   CheckOutcome CheckLongTerm(QueryId id, const Access& access);
 
-  /// Checks a batch of accesses, fanning out over the worker pool. Results
-  /// align with `accesses` by index.
-  std::vector<CheckOutcome> CheckBatch(QueryId id, CheckKind kind,
-                                       const std::vector<Access>& accesses);
-
   /// Outcome of FirstRelevant.
   struct ScanOutcome {
     /// Index (into the scanned accesses) of the first relevant access; -1
@@ -392,8 +390,9 @@ class RelevanceEngine {
   /// internally and do not consult this memo.
   std::unordered_set<DomainId> producible_domains();
 
-  /// Counter snapshot (safe to call while workers run). Attached apply
-  /// listeners contribute their counters (the stream fields).
+  /// Counter snapshot (safe to call while checks and applies run).
+  /// Attached apply listeners contribute their counters (the stream
+  /// fields).
   EngineStats stats() const;
 
   /// Attaches a listener notified after every successful ApplyResponse.
@@ -423,11 +422,6 @@ class RelevanceEngine {
   /// fact index, which is then maintained delta-wise from ApplyEvent
   /// deltas instead of re-copying.
   std::vector<Fact> RelationFactsSnapshot(RelationId rel) const;
-
-  /// The engine's worker pool, shared with CheckBatch. Attached listeners
-  /// fan per-binding rechecks out over it; never call its ParallelFor
-  /// from inside one of its own tasks.
-  WorkerPool& worker_pool() { return pool_; }
 
   /// The engine's observability bundle (latency histograms + trace ring).
   /// Attached subsystems (stream registry, mediator) record into it too,
@@ -523,6 +517,12 @@ class RelevanceEngine {
                           const std::vector<Fact>& response, ApplyEvent* event,
                           bool collect_delta);
 
+  /// Takes adom_mu_ exclusive for an apply that grows the active domain.
+  /// New CheckLocks scopes wait while such an apply waits. glibc's rwlock
+  /// prefers readers, so back-to-back checks from several threads would
+  /// otherwise hold the apply off without bound.
+  std::unique_lock<std::shared_mutex> LockAdomForGrowth();
+
   /// Invokes every attached listener (engine locks must not be held).
   void NotifyApplied(const ApplyEvent& event);
 
@@ -575,6 +575,12 @@ class RelevanceEngine {
   /// Active-domain lock: shared while reading Adom (every check; applies
   /// whose facts carry only known values), exclusive when growing it.
   mutable std::shared_mutex adom_mu_;
+  /// Growing applies waiting for adom_mu_ exclusive, changed only under
+  /// adom_gate_mu_ (adom_gate_cv_ wakes the checks that wait) and read
+  /// without it on the check path's fast test.
+  std::atomic<int> adom_growers_waiting_{0};
+  mutable std::mutex adom_gate_mu_;
+  mutable std::condition_variable adom_gate_cv_;
   /// Per-relation stripes guarding conf_'s relation stores.
   mutable std::vector<std::shared_mutex> stripe_mu_;
   /// Guards the frontier (candidates, performed set, adom_seen cursor).
@@ -614,9 +620,7 @@ class RelevanceEngine {
   PersistHook* persist_hook_ = nullptr;
 
   mutable DecisionCache cache_;
-  /// Declared before pool_: the pool's queue-wait histogram lives here.
   mutable EngineObservability obs_;
-  WorkerPool pool_;
   mutable EngineCounters counters_;
   /// Stale-drop attribution, indexed by RelationId; slot num_relations_
   /// counts Adom-version invalidations.

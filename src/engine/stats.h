@@ -4,7 +4,8 @@
 // cache probes, version advances) and materialises a plain `EngineStats`
 // snapshot on demand. Relaxed ordering is deliberate: counters are
 // monotone telemetry, not synchronisation, and a snapshot taken while
-// workers run is allowed to be momentarily inconsistent between fields.
+// checks and applies run is allowed to be momentarily inconsistent
+// between fields.
 // Both structs are generated from the metric table (obs/metrics.h).
 #ifndef RAR_ENGINE_STATS_H_
 #define RAR_ENGINE_STATS_H_

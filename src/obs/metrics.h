@@ -74,9 +74,6 @@
     "Applies that ran while checks were in flight.")                           \
   X(overlapped_checks, "overlapped_checks", Counter, Live,                     \
     "Checks that ran while applies were in flight.")                           \
-  X(batch_calls, "batch_calls", Counter, Live, "CheckBatch calls.")            \
-  X(batch_items, "batch_items", Counter, Live,                                 \
-    "Accesses checked through CheckBatch.")                                    \
   X(ir_time_ns, "ir_time_ns", Counter, Live,                                   \
     "Wall time inside uncached IR deciders, in nanoseconds.")                  \
   X(ltr_time_ns, "ltr_time_ns", Counter, Live,                                 \
@@ -215,10 +212,9 @@
   X(ir_decider_ns, "Uncached IR decider wall time, in nanoseconds.")           \
   X(ltr_decider_ns, "Uncached LTR decider wall time, in nanoseconds.")         \
   X(apply_ns, "ApplyResponse end-to-end latency, in nanoseconds.")             \
-  X(batch_ns, "CheckBatch latency, in nanoseconds.")                           \
   X(wave_ns, "Stream recheck-wave duration, in nanoseconds.")                  \
   X(wave_width, "Bindings re-evaluated per recheck wave.")                     \
-  X(queue_wait_ns, "Worker-pool task queue wait, in nanoseconds.")             \
+  X(queue_wait_ns, "Always empty: every check runs on its caller's thread.")   \
   X(source_ns, "Simulated source round trip, in nanoseconds.")                 \
   X(wal_fsync_ns, "Physical WAL fsync duration, in nanoseconds.")              \
   X(wal_commit_ns, "WaitDurable end to end (group commit), in nanoseconds.")   \

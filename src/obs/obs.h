@@ -1,10 +1,9 @@
 // The engine's observability bundle: every latency/width histogram the
 // hot paths feed, plus the structured trace ring. One instance lives
-// inside each RelevanceEngine (`engine.obs()`); the stream registry, the
-// worker pool and the mediator record into the same bundle, so one
-// snapshot attributes the whole runtime — decider tails, apply
-// end-to-end, wave fan-out, batch latency, queue wait and source
-// round-trips — next to the flat EngineStats counters.
+// inside each RelevanceEngine (`engine.obs()`); the stream registry and
+// the mediator record into the same bundle, so one snapshot attributes
+// the whole runtime — decider tails, apply end-to-end, wave duration and
+// width, and source round-trips — next to the flat EngineStats counters.
 #ifndef RAR_OBS_OBS_H_
 #define RAR_OBS_OBS_H_
 

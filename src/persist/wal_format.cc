@@ -269,22 +269,23 @@ void EncodeStreamOptions(const StreamOptions& o, BinWriter* w) {
   if (o.force_full_recheck) flags |= 1u << 3;
   if (o.retain_events) flags |= 1u << 4;
   w->U8(flags);
-  w->U64(static_cast<uint64_t>(o.parallel_threshold));
+  // The slot of the retired wave threshold: written as 8, its old
+  // default, and discarded on read, so the format is unchanged.
+  w->U64(8);
   w->U64(o.retain_cap);
 }
 
 Status DecodeStreamOptions(BinReader* r, StreamOptions* out) {
   uint8_t flags;
-  uint64_t threshold, retain_cap;
+  uint64_t unused_threshold, retain_cap;
   RAR_RETURN_NOT_OK(r->U8(&flags));
-  RAR_RETURN_NOT_OK(r->U64(&threshold));
+  RAR_RETURN_NOT_OK(r->U64(&unused_threshold));
   RAR_RETURN_NOT_OK(r->U64(&retain_cap));
   out->use_immediate = (flags & (1u << 0)) != 0;
   out->use_long_term = (flags & (1u << 1)) != 0;
   out->conservative_on_unknown = (flags & (1u << 2)) != 0;
   out->force_full_recheck = (flags & (1u << 3)) != 0;
   out->retain_events = (flags & (1u << 4)) != 0;
-  out->parallel_threshold = static_cast<size_t>(threshold);
   out->retain_cap = retain_cap;
   return Status::OK();
 }

@@ -92,8 +92,8 @@ struct MediationOutcome {
   Configuration final_conf;
   std::vector<std::string> log;   ///< human-readable trace
   EngineStats engine;             ///< engine counters for the run
-  /// Latency histograms for the run (decider/apply/wave/batch/queue-wait
-  /// plus the simulated source round-trips the mediator loop timed).
+  /// Latency histograms for the run (decider/apply/wave plus the
+  /// simulated source round-trips the mediator loop timed).
   ObsSnapshot obs;
   /// For k-ary stream runs: the certain-answer tuples at the final
   /// configuration (fresh-constant bindings excluded).

@@ -229,7 +229,6 @@ struct StreamState {
   // --- reusable wave scratch (guarded by mu, cleared per wave) ----------
   std::vector<size_t> wave_stale;
   std::vector<VersionStamp> wave_stamps;
-  std::vector<std::vector<StreamEvent>> wave_events;
   std::vector<char> wave_touched;  ///< per-binding gate verdict
   /// Per-`adom_domains` version brackets of the wave's event (index i
   /// pairs with adom_domains[i]); kAdomUnmoved marks domains the event

@@ -117,10 +117,11 @@ SemijoinPlan BuildSemijoinPlan(const std::vector<AtomGateConstraint>& atoms,
   return plan;
 }
 
-// The sharing key of a registration: every StreamOptions field, then the
-// query per disjunct — variable domains (as validation infers them), head
-// and atoms, with variable names left out. Equal keys decide identical
-// verdicts, so their registrations share one stream.
+// The sharing key of a registration: every StreamOptions field a verdict
+// or a delivery depends on, then the query per disjunct — variable
+// domains (as validation infers them), head and atoms, with variable
+// names left out. Equal keys decide identical verdicts, so their
+// registrations share one stream.
 std::string StreamKey(const Schema& schema, const UnionQuery& query,
                       const StreamOptions& o) {
   UnionQuery q = query;
@@ -132,7 +133,6 @@ std::string StreamKey(const Schema& schema, const UnionQuery& query,
   put(o.use_immediate);
   put(o.use_long_term);
   put(o.conservative_on_unknown);
-  put(o.parallel_threshold);
   put(o.force_full_recheck);
   put(o.retain_events);
   put(o.retain_cap);
@@ -1330,27 +1330,13 @@ void RelevanceStreamRegistry::RecheckWave(StreamState& s,
   const std::shared_ptr<const std::vector<Access>> pending_snapshot =
       PendingSnapshot();
   const std::vector<Access>& pending = *pending_snapshot;
-  std::vector<std::vector<StreamEvent>>& wave = s.wave_events;
-  wave.clear();
-  wave.resize(stale.size());
-  // One decision path: EvalBinding decides every stale binding, its
-  // witness-first scan confirming a still-relevant witness in one probe.
-  if (stale.size() >= s.options.parallel_threshold &&
-      engine_->worker_pool().size() > 1) {
-    // Tasks touch disjoint bindings; the caller's hold on s.mu keeps
-    // Poll/Snapshot (and other waves) out until the whole wave lands.
-    engine_->worker_pool().ParallelFor(stale.size(), [&](size_t j) {
-      wave[j] = EvalBinding(s, s.bindings[stale[j]], pending,
-                            std::move(stamps[j]));
-    });
-  } else {
-    for (size_t j = 0; j < stale.size(); ++j) {
-      wave[j] = EvalBinding(s, s.bindings[stale[j]], pending,
-                            std::move(stamps[j]));
-    }
-  }
-  for (std::vector<StreamEvent>& events : wave) {
-    CommitEvents(s, std::move(events));
+  // One decision path, on this thread: EvalBinding decides every stale
+  // binding, its witness-first scan confirming a still-relevant witness
+  // in one probe. The hold on s.mu keeps Poll/Snapshot (and other waves)
+  // out until the whole wave lands.
+  for (size_t j = 0; j < stale.size(); ++j) {
+    CommitEvents(s, EvalBinding(s, s.bindings[stale[j]], pending,
+                                std::move(stamps[j])));
   }
   record_wave(static_cast<uint64_t>(stale.size()),
               skipped + sticky + gate_skipped);

@@ -64,18 +64,18 @@
 // one way, by EvalBinding's `FirstRelevant` scans (witness IR, witness
 // LTR, pending IR, pending LTR; one acquisition of the engine's striped
 // locks each), which go through the engine's decision cache (binding
-// queries are ordinary engine queries). Waves above
-// `StreamOptions::parallel_threshold` fan out over the engine's worker
-// pool. Active-domain growth delta-enumerates exactly the new head
+// queries are ordinary engine queries), all on the applying thread.
+// Active-domain growth delta-enumerates exactly the new head
 // bindings via HeadInstantiator::ForEachNewBinding.
 //
 // Sharing: a relevance verdict depends only on the query and the
 // configuration, never on who asks, so registrations with an equal
-// (query, options) key — the query compared per disjunct on head, atoms and
-// variable domains with variable names ignored, and every StreamOptions
-// field — share one stream: its waves run once, whatever the number of
-// subscribers. A StreamId names a *subscription*: a cursor with its own
-// event numbering 1, 2, 3, ... over the shared log. The first
+// (query, options) key — the query compared per disjunct on head, atoms
+// and variable domains with variable names ignored, and every
+// StreamOptions field a verdict or a delivery depends on — share one
+// stream: its waves run once, whatever the number of subscribers. A
+// StreamId names a *subscription*: a cursor with its own event numbering
+// 1, 2, 3, ... over the shared log. The first
 // registration of a key builds the stream; a later one joins it with a
 // private prefix holding the events a private registration at that moment
 // would emit (kBindingAdded per binding, then each binding's current
@@ -339,8 +339,7 @@ class RelevanceStreamRegistry : public ApplyListener {
   /// reads (the staleness test's stamp is reused — a response landing
   /// mid-evaluation leaves it stale, and the next wave repairs the
   /// binding). Returns the events the transition produced (sequence
-  /// numbers unassigned). Safe to run concurrently for distinct bindings
-  /// of one stream.
+  /// numbers unassigned).
   std::vector<StreamEvent> EvalBinding(StreamState& s, BindingState& b,
                                        const std::vector<Access>& pending,
                                        VersionStamp stamp);

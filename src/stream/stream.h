@@ -45,8 +45,9 @@ struct StreamOptions {
   /// When an LTR verdict is outside its paper-backed scope, count the
   /// access as relevant (mirror of MediatorOptions::conservative_on_unknown).
   bool conservative_on_unknown = true;
-  /// Stale sets at least this large are rechecked in parallel across the
-  /// engine's worker pool; smaller waves run inline.
+  /// Ignored: every wave runs on the applying thread. It is not part of
+  /// the sharing key; the stream codecs write 8 in its slot and discard
+  /// what they read.
   size_t parallel_threshold = 8;
   /// Disables the value gate: every footprint-hit wave re-evaluates every
   /// stamp-stale binding, never restamping from the landed delta alone.

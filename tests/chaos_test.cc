@@ -435,21 +435,17 @@ std::vector<std::pair<MessageType, std::string>> RunServingScript(
 TEST(ServingModesTest, InMemoryAndDurableServersAnswerAlike) {
   ServerOptions opts;
   opts.dedup_window = 2;
-  EngineOptions quiet;
-  quiet.num_threads = 1;
 
   // Two identical worlds, so fresh constants get the same spellings.
   ChainWorld mem_world(4);
-  RelevanceEngine engine(mem_world.schema, mem_world.acs, mem_world.conf,
-                         quiet);
+  RelevanceEngine engine(mem_world.schema, mem_world.acs, mem_world.conf);
   RelevanceStreamRegistry registry(&engine);
   SessionServer in_memory(&engine, &registry, opts);
   const auto want = RunServingScript(&in_memory, mem_world);
 
   ChainWorld log_world(4);
   auto store = DurableSession::Open(log_world.schema, log_world.acs,
-                                    log_world.conf, TestDir("modes"), {},
-                                    quiet);
+                                    log_world.conf, TestDir("modes"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   SessionServer durable(store->get(), opts);
   const auto got = RunServingScript(&durable, log_world);
@@ -973,8 +969,6 @@ INSTANTIATE_TEST_SUITE_P(, ChaosSoakTest, ::testing::Values(false, true),
 TEST(CrashRecoveryTest, RetryStraddlingServerCrashAnswersFromWal) {
   const std::string dir = TestDir("crash_retry");
   ChainWorld world(6);
-  EngineOptions quiet;
-  quiet.num_threads = 1;
 
   SessionToken token;
   std::string original_apply_response;
@@ -983,7 +977,7 @@ TEST(CrashRecoveryTest, RetryStraddlingServerCrashAnswersFromWal) {
 
   {
     auto durable = DurableSession::Open(world.schema, world.acs, world.conf,
-                                        dir, {}, quiet);
+                                        dir);
     ASSERT_TRUE(durable.ok()) << durable.status().ToString();
     SessionServer server(durable->get());
     LoopbackChannel channel(&server);
@@ -1015,7 +1009,7 @@ TEST(CrashRecoveryTest, RetryStraddlingServerCrashAnswersFromWal) {
   }
 
   auto recovered = DurableSession::Open(world.schema, world.acs, world.conf,
-                                        dir, {}, quiet);
+                                        dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   SessionServer server(recovered->get());
   EXPECT_EQ(server.engine().stats().server_sessions_recovered, 1u);
@@ -1098,13 +1092,11 @@ TEST(ResumeTest, ResumedClientNumbersPastRecordedRequestIds) {
 TEST(ResumeTest, ResumedClientNumbersPastRecordedRequestIdsAfterCrash) {
   const std::string dir = TestDir("resume_ids");
   ChainWorld world(8);
-  EngineOptions quiet;
-  quiet.num_threads = 1;
 
   SessionToken token;
   {
     auto durable = DurableSession::Open(world.schema, world.acs, world.conf,
-                                        dir, {}, quiet);
+                                        dir);
     ASSERT_TRUE(durable.ok()) << durable.status().ToString();
     SessionServer server(durable->get());
     LoopbackChannel channel(&server);
@@ -1118,7 +1110,7 @@ TEST(ResumeTest, ResumedClientNumbersPastRecordedRequestIdsAfterCrash) {
   }  // the "crash"
 
   auto recovered = DurableSession::Open(world.schema, world.acs, world.conf,
-                                        dir, {}, quiet);
+                                        dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   SessionServer server(recovered->get());
   LoopbackChannel channel(&server);

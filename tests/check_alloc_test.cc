@@ -93,10 +93,8 @@ class CheckAllocTest : public ::testing::Test {
     cq.atoms.push_back(Atom{s_, {Term::MakeVar(y)}});
     UnionQuery q;
     q.disjuncts.push_back(std::move(cq));
-    EngineOptions opts;
-    opts.num_threads = 1;
     engine_ = std::make_unique<RelevanceEngine>(*schema_, *acs_,
-                                                std::move(conf), opts);
+                                                std::move(conf));
     qid_ = *engine_->RegisterQuery(q);
     for (int i = 1; i < kValues; ++i) {
       accesses_.push_back(Access{mr_, {values_[i]}});

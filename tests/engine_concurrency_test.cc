@@ -1,16 +1,17 @@
 // Concurrency stress tests for the sharded RelevanceEngine: ApplyResponse
-// interleaved with CheckBatch across disjoint and overlapping relation
-// footprints. The load-bearing assertions: (1) under arbitrary
-// interleavings every verdict the engine ever returns is one the direct
-// deciders produce at *some* configuration between the check's start and
-// end (for quiesced states: exact agreement), (2) footprint-disjoint
-// cached verdicts survive concurrent growth of other groups, and (3) the
-// run is data-race-free — the ThreadSanitizer CI job builds exactly this
-// test to certify the lock discipline.
+// interleaved with checks from several threads across disjoint and
+// overlapping relation footprints. The load-bearing assertions: (1) under
+// arbitrary interleavings every verdict the engine ever returns is one
+// the direct deciders produce at *some* configuration between the check's
+// start and end (for quiesced states: exact agreement), (2) footprint-
+// disjoint cached verdicts survive concurrent growth of other groups, and
+// (3) the run is data-race-free — the ThreadSanitizer CI job builds
+// exactly this test to certify the lock discipline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -51,18 +52,23 @@ std::vector<GroupScript> BuildScripts(const MultiRelationFamily& f) {
   return scripts;
 }
 
-// Appliers replay group scripts while checkers batch-probe every group's
-// candidate accesses; verdicts must match the direct deciders once the
-// engine quiesces, and no interleaving may trip TSan or the engine's
-// internal invariants.
+// One per-access check of either kind.
+CheckOutcome Check(RelevanceEngine& engine, QueryId q, CheckKind kind,
+                   const Access& access) {
+  return kind == CheckKind::kImmediate ? engine.CheckImmediate(q, access)
+                                       : engine.CheckLongTerm(q, access);
+}
+
+// Appliers replay group scripts while checkers probe every group's
+// candidate accesses one by one; verdicts must match the direct deciders
+// once the engine quiesces, and no interleaving may trip TSan or the
+// engine's internal invariants.
 TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
   constexpr int kGroups = 3;
   MultiRelationFamily f = MakeMultiRelationFamily(kGroups, 4);
   const Scenario& s = f.scenario;
 
-  EngineOptions opts;
-  opts.num_threads = 2;  // CheckBatch fan-out inside each checker thread
-  RelevanceEngine engine(*s.schema, s.acs, s.conf, opts);
+  RelevanceEngine engine(*s.schema, s.acs, s.conf);
   std::vector<QueryId> qids;
   for (const UnionQuery& q : f.queries) {
     auto qid = engine.RegisterQuery(q);
@@ -70,8 +76,8 @@ TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
     qids.push_back(*qid);
   }
   std::vector<GroupScript> scripts = BuildScripts(f);
-  std::vector<Access> batch = engine.PendingAccesses();
-  ASSERT_FALSE(batch.empty());
+  std::vector<Access> pending = engine.PendingAccesses();
+  ASSERT_FALSE(pending.empty());
 
   // One applier per group (disjoint footprints: applies overlap with each
   // other), plus checkers hammering both kinds for every query — their
@@ -101,8 +107,7 @@ TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
         QueryId qid = qids[rng.Below(qids.size())];
         CheckKind kind = rng.Chance(0.5) ? CheckKind::kImmediate
                                          : CheckKind::kLongTerm;
-        std::vector<CheckOutcome> out = engine.CheckBatch(qid, kind, batch);
-        if (out.size() != batch.size()) check_errors.fetch_add(1);
+        for (const Access& a : pending) (void)Check(engine, qid, kind, a);
         (void)engine.IsCertain(qid);
         (void)engine.CandidateAccesses(qid);
         (void)engine.producible_domains();
@@ -119,7 +124,7 @@ TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
   Configuration final_conf = engine.SnapshotConfig();
   RelevanceAnalyzer analyzer(*s.schema, s.acs);
   for (size_t g = 0; g < qids.size(); ++g) {
-    for (const Access& a : batch) {
+    for (const Access& a : pending) {
       CheckOutcome ir = engine.CheckImmediate(qids[g], a);
       ASSERT_TRUE(ir.ok());
       EXPECT_EQ(ir.relevant,
@@ -146,10 +151,11 @@ TEST(EngineConcurrencyTest, AppliesOverlapChecksAcrossFootprints) {
 }
 
 // The decision cache under eviction pressure: a 16-entry cache serves
-// three threads of CheckBatch and FirstRelevant calls over every pending
-// access of several queries, so nearly every insert evicts and released
-// records are recycled while other threads probe. Between the concurrent
-// phases one thread grows the configuration, making cached entries stale.
+// three threads of per-access checks and FirstRelevant scans over every
+// pending access of several queries, so nearly every insert evicts and
+// released records are recycled while other threads probe. Between the
+// concurrent phases one thread grows the configuration, making cached
+// entries stale.
 // Load-bearing assertions: every verdict equals the one an uncached twin
 // engine returns at the same configuration, evictions happen, and the run
 // is race-free (the TSan CI job builds this test).
@@ -157,7 +163,6 @@ TEST(EngineConcurrencyTest, SmallCacheEvictsUnderConcurrentChecks) {
   MultiRelationFamily f = MakeMultiRelationFamily(3, 12);
   const Scenario& s = f.scenario;
   EngineOptions opts;
-  opts.num_threads = 2;  // CheckBatch fans out inside each checker thread
   opts.cache_capacity = 16;
   RelevanceEngine engine(*s.schema, s.acs, s.conf, opts);
   EngineOptions twin_opts = opts;
@@ -181,7 +186,10 @@ TEST(EngineConcurrencyTest, SmallCacheEvictsUnderConcurrentChecks) {
     std::vector<int> want_first;
     for (QueryId q : qids) {
       for (CheckKind kind : kinds) {
-        want.push_back(twin.CheckBatch(q, kind, pending));
+        want.emplace_back();
+        for (const Access& a : pending) {
+          want.back().push_back(Check(twin, q, kind, a));
+        }
         int first = -1;
         for (size_t i = 0; i < pending.size() && first < 0; ++i) {
           const CheckOutcome& o = want.back()[i];
@@ -201,11 +209,11 @@ TEST(EngineConcurrencyTest, SmallCacheEvictsUnderConcurrentChecks) {
           const size_t k = rng.Below(2);
           const size_t slot = 2 * q + k;
           if (rng.Chance(0.5)) {
-            const std::vector<CheckOutcome> got =
-                engine.CheckBatch(qids[q], kinds[k], pending);
             for (size_t i = 0; i < pending.size(); ++i) {
-              if (got[i].ok() != want[slot][i].ok() ||
-                  got[i].relevant != want[slot][i].relevant) {
+              const CheckOutcome got =
+                  Check(engine, qids[q], kinds[k], pending[i]);
+              if (got.ok() != want[slot][i].ok() ||
+                  got.relevant != want[slot][i].relevant) {
                 mismatches.fetch_add(1);
               }
             }
@@ -518,14 +526,14 @@ TEST(EngineConcurrencyTest, BindingScansOverlapFootprintDisjointApplies) {
   }
 }
 
-// Standing-stream maintenance under concurrency: recheck waves (triggered
-// by hit-relation applies on one thread) overlap footprint-disjoint
-// applies and snapshot readers on others. Load-bearing assertions: the
-// stream's final per-binding verdicts agree with a fresh per-binding
-// evaluation on the quiesced configuration, foreign applies skip every
-// binding (counters), and the run is race-free — the TSan CI job builds
-// this test, certifying the registry's stamp/wave discipline against the
-// engine's striped locks.
+// Standing-stream maintenance under concurrency: recheck waves on one
+// stream, triggered by hit-relation applies from two threads at once,
+// overlap each other, footprint-disjoint applies and snapshot readers.
+// Load-bearing assertions: the stream's final per-binding verdicts agree
+// with a fresh per-binding evaluation on the quiesced configuration,
+// foreign applies skip every binding (counters), and the run is race-free
+// — the TSan CI job builds this test, certifying the registry's
+// stamp/wave discipline against the engine's striped locks.
 TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
   auto schema = std::make_shared<Schema>();
   DomainId d0 = schema->AddDomain("D0");
@@ -560,13 +568,9 @@ TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
   uq.disjuncts.push_back(q);
   ASSERT_TRUE(uq.Validate(*schema).ok());
 
-  EngineOptions opts;
-  opts.num_threads = 2;  // recheck waves fan out over the pool
-  RelevanceEngine engine(*schema, acs, conf, opts);
+  RelevanceEngine engine(*schema, acs, conf);
   RelevanceStreamRegistry registry(&engine);
-  StreamOptions sopts;
-  sopts.parallel_threshold = 2;  // force the parallel wave path
-  StreamId sid = *registry.Register(uq, sopts);
+  StreamId sid = *registry.Register(uq, StreamOptions{});
 
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
@@ -583,10 +587,11 @@ TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
       }
     }
   });
-  // Hit applier: A0/B0 facts (idempotent set, repeated) — every apply
-  // bumps the performed counter of a footprint relation, so each one
-  // triggers a recheck wave over the stream's live bindings.
-  std::thread hit([&]() {
+  // Two hit appliers, one on A0 and one on B0 (idempotent sets,
+  // repeated): every apply bumps the performed counter of a footprint
+  // relation, so each one triggers a recheck wave over the stream's live
+  // bindings, and the two threads' waves contend for the stream.
+  std::thread hit_a([&]() {
     for (int round = 0; round < 50; ++round) {
       for (int i = 0; i < 3; ++i) {
         Access acc{ma0, {c0s[i]}};
@@ -594,6 +599,12 @@ TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
                  .ok()) {
           errors.fetch_add(1);
         }
+      }
+    }
+  });
+  std::thread hit_b([&]() {
+    for (int round = 0; round < 50; ++round) {
+      for (int i = 0; i < 3; ++i) {
         Access bcc{mb0, {c0s[i]}};
         if (!engine.ApplyResponse(bcc, {Fact(b0, {c0s[i], c0s[i]})}).ok()) {
           errors.fetch_add(1);
@@ -611,7 +622,8 @@ TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
     }
   });
   foreign.join();
-  hit.join();
+  hit_a.join();
+  hit_b.join();
   stop.store(true);
   reader.join();
   ASSERT_EQ(errors.load(), 0);
@@ -657,14 +669,14 @@ TEST(EngineConcurrencyTest, StreamRechecksOverlapFootprintDisjointApplies) {
   }
 }
 
-// Value-gated waves under concurrency: the hit applier lands facts whose
+// Value-gated waves under concurrency: two hit appliers land facts whose
 // position-0 value names a head binding (so waves narrow through the
-// {slot, value} index and restamp everything else), while a footprint-
-// disjoint applier and snapshot readers run on other threads. Load-
-// bearing assertions: final per-binding verdicts equal a fresh evaluation
-// on the quiesced configuration, the gate demonstrably fired, and the run
-// is race-free — the TSan CI job builds this test, certifying the gated
-// restamp path (which mutates stamps outside the evaluation fan-out) and
+// {slot, value} index and restamp everything else), their waves on the
+// one stream overlapping, while a footprint-disjoint applier and
+// snapshot readers run on other threads. Load-bearing assertions: final
+// per-binding verdicts equal a fresh evaluation on the quiesced
+// configuration, the gate demonstrably fired, and the run is race-free —
+// the TSan CI job builds this test, certifying the gated restamp path and
 // the shared pending-frontier cache against concurrent applies.
 TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
   auto schema = std::make_shared<Schema>();
@@ -700,13 +712,9 @@ TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
   uq.disjuncts.push_back(q);
   ASSERT_TRUE(uq.Validate(*schema).ok());
 
-  EngineOptions opts;
-  opts.num_threads = 2;
-  RelevanceEngine engine(*schema, acs, conf, opts);
+  RelevanceEngine engine(*schema, acs, conf);
   RelevanceStreamRegistry registry(&engine);
-  StreamOptions sopts;
-  sopts.parallel_threshold = 2;  // force the parallel wave path
-  StreamId sid = *registry.Register(uq, sopts);
+  StreamId sid = *registry.Register(uq, StreamOptions{});
 
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
@@ -723,19 +731,19 @@ TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
       }
     }
   });
-  // Hit applier: A0 facts naming one binding each (gated narrow waves,
-  // redundant replays exercising the frontier-only delta) plus occasional
-  // B0 facts (unconstrained fallback waves).
-  std::thread hit([&]() {
+  // Two hit appliers, splitting the bindings: A0 facts naming one binding
+  // each (gated narrow waves, redundant replays exercising the frontier-
+  // only delta) plus occasional B0 facts (unconstrained fallback waves).
+  auto hit_applier = [&](int h) {
     for (int round = 0; round < 50; ++round) {
-      for (int i = 0; i < 3; ++i) {
+      for (int i = h; i < 3; i += 2) {
         Access acc{ma0, {c0s[i]}};
         if (!engine.ApplyResponse(acc, {Fact(a0, {c0s[i], c0s[i + 1]})})
                  .ok()) {
           errors.fetch_add(1);
         }
       }
-      if (round % 8 == 0) {
+      if (round % 8 == 4 * h) {
         Access bcc{mb0, {c0s[round % 3]}};
         if (!engine
                  .ApplyResponse(bcc,
@@ -745,7 +753,9 @@ TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
         }
       }
     }
-  });
+  };
+  std::thread hit0([&]() { hit_applier(0); });
+  std::thread hit1([&]() { hit_applier(1); });
   // Reader: polls deltas and snapshots while gated waves land.
   std::thread reader([&]() {
     while (!stop.load(std::memory_order_relaxed)) {
@@ -756,7 +766,8 @@ TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
     }
   });
   foreign.join();
-  hit.join();
+  hit0.join();
+  hit1.join();
   stop.store(true);
   reader.join();
   ASSERT_EQ(errors.load(), 0);
@@ -808,7 +819,9 @@ TEST(EngineConcurrencyTest, ValueGatedWavesOverlapFootprintDisjointApplies) {
 // relation recheck attribution), the delta-gated waves report zero
 // gate_fallback_adom, and the run is race-free — the TSan CI job builds
 // this test, certifying the per-domain version brackets (engine-side
-// dense vector + per-stream stamp tails) against concurrent growth.
+// dense vector + per-stream stamp tails) against concurrent growth. A
+// second phase then runs hit waves on one stream from two appliers that
+// mint into the same domain at once.
 TEST(EngineConcurrencyTest, PerDomainAdomGrowthKeepsDisjointStreamsSkipOnly) {
   auto schema = std::make_shared<Schema>();
   DomainId d0 = schema->AddDomain("D0");
@@ -852,12 +865,9 @@ TEST(EngineConcurrencyTest, PerDomainAdomGrowthKeepsDisjointStreamsSkipOnly) {
   ASSERT_TRUE(uq0.Validate(*schema).ok());
   ASSERT_TRUE(uq1.Validate(*schema).ok());
 
-  EngineOptions opts;
-  opts.num_threads = 2;
-  RelevanceEngine engine(*schema, acs, conf, opts);
+  RelevanceEngine engine(*schema, acs, conf);
   RelevanceStreamRegistry registry(&engine);
   StreamOptions sopts;  // IR-only: per-domain Adom stamps active
-  sopts.parallel_threshold = 2;
   StreamId sid0 = *registry.Register(uq0, sopts);
   StreamId sid1 = *registry.Register(uq1, sopts);
 
@@ -934,22 +944,49 @@ TEST(EngineConcurrencyTest, PerDomainAdomGrowthKeepsDisjointStreamsSkipOnly) {
       << "relevant survivors must restamp across the per-domain bracket";
   EXPECT_GT(st.stream_skips, 0u)
       << "foreign-domain growth must take the O(1) skip path";
+
+  // Two appliers now mint into D0 at once, so stream 0's waves may land
+  // out of version order and then evaluate survivors they cannot restamp.
+  // Still, every newborn is evaluated exactly once, nothing falls back,
+  // no verdict moves, and stream 1 gains no binding.
+  std::vector<Value> more_a, more_b;
+  for (int i = 0; i < kMints; ++i) {
+    more_a.push_back(schema->InternConstant("h0_" + std::to_string(i)));
+    more_b.push_back(schema->InternConstant("k0_" + std::to_string(i)));
+  }
+  std::thread grow0a([&]() { applier(mw0, w0, c0s, more_a); });
+  std::thread grow0b([&]() { applier(mw0, w0, c0s, more_b); });
+  grow0a.join();
+  grow0b.join();
+  ASSERT_EQ(errors.load(), 0);
+  snap0 = registry.Snapshot(sid0);
+  EXPECT_EQ(snap0.bindings_tracked, 4u + 3 * kMints + 1);
+  EXPECT_EQ(registry.Snapshot(sid1).bindings_tracked, 4u + kMints + 1);
+  for (const BindingView& bv : snap0.bindings) {
+    EXPECT_FALSE(bv.certain);
+    EXPECT_TRUE(bv.relevant);
+  }
+  const EngineStats after = engine.stats();
+  EXPECT_GE(after.stream_rechecks_by_relation[w0], 3u * kMints);
+  EXPECT_EQ(after.stream_rechecks_by_relation[w1],
+            static_cast<uint64_t>(kMints));
+  EXPECT_EQ(after.stream_value_gate_newborn, 4u * kMints);
+  EXPECT_EQ(after.stream_value_gate_fallback_adom, 0u);
 }
 
 // Observability under concurrency: trace spans and histograms record from
-// every hot path (appliers, checkers, worker pool) while footprint-
-// disjoint applies overlap checks. Load-bearing assertions: histogram
-// counts reconcile exactly with the engine's own counters (lock-free
-// recording loses nothing), every event the ring returns is internally
-// coherent (no torn slots), and the run is race-free — the TSan CI job
-// builds this test to certify the seqlock ring against the striped locks.
+// every hot path (appliers, checkers) while footprint-disjoint applies
+// overlap checks. Load-bearing assertions: histogram counts reconcile
+// exactly with the engine's own counters (lock-free recording loses
+// nothing), every event the ring returns is internally coherent (no torn
+// slots), and the run is race-free — the TSan CI job builds this test to
+// certify the seqlock ring against the striped locks.
 TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   constexpr int kGroups = 3;
   MultiRelationFamily f = MakeMultiRelationFamily(kGroups, 4);
   const Scenario& s = f.scenario;
 
   EngineOptions opts;
-  opts.num_threads = 2;
   opts.obs.trace_capacity = 512;
   opts.obs.trace_sample_period = 1;  // record every apply/check/wave
   RelevanceEngine engine(*s.schema, s.acs, s.conf, opts);
@@ -958,8 +995,8 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
     qids.push_back(*engine.RegisterQuery(q));
   }
   std::vector<GroupScript> scripts = BuildScripts(f);
-  std::vector<Access> batch = engine.PendingAccesses();
-  ASSERT_FALSE(batch.empty());
+  std::vector<Access> pending = engine.PendingAccesses();
+  ASSERT_FALSE(pending.empty());
 
   std::atomic<bool> stop{false};
   std::atomic<int> errors{0};
@@ -979,14 +1016,13 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   for (int c = 0; c < 2; ++c) {
     threads.emplace_back([&, c]() {
       Rng rng(77 + c);
-      // At least one batch per checker, even when a loaded host lets the
-      // appliers finish before this thread first runs: the queue-wait
-      // assertion below needs one fan-out.
+      // At least one pass per checker, even when a loaded host lets the
+      // appliers finish before this thread first runs.
       do {
         QueryId qid = qids[rng.Below(qids.size())];
         CheckKind kind = rng.Chance(0.5) ? CheckKind::kImmediate
                                          : CheckKind::kLongTerm;
-        (void)engine.CheckBatch(qid, kind, batch);
+        for (const Access& a : pending) (void)Check(engine, qid, kind, a);
         // Trace readers race the writers on purpose: torn slots must be
         // dropped, never returned.
         for (const TraceEvent& e : engine.obs().trace().LastEvents(32)) {
@@ -1006,9 +1042,6 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   EXPECT_EQ(obs.apply_ns.count, st.responses_applied);
   EXPECT_EQ(obs.ir_decider_ns.count, st.uncached_ir_checks);
   EXPECT_EQ(obs.ltr_decider_ns.count, st.uncached_ltr_checks);
-  EXPECT_EQ(obs.batch_ns.count, st.batch_calls);
-  EXPECT_GT(obs.queue_wait_ns.count, 0u)
-      << "CheckBatch fan-out must feed the pool's queue-wait histogram";
 
   // The ring saw one event per apply and per check (every site sampled).
   const TraceBuffer& trace = engine.obs().trace();
@@ -1049,83 +1082,105 @@ TEST(EngineConcurrencyTest, ObsSpansRecordWhileDisjointAppliesOverlap) {
   EXPECT_FALSE(trace.DumpJson(16).empty());
 }
 
-// The achievability memo under concurrent checks. Binding queries
-// Q(i) :- Listing(i, S), Vetted(S), Flag(T) over a marketplace whose Flag
-// values (tags) only Label's output produces, decided with a horizon of
-// no auxiliary facts: while the active domain has no tag, no query is
-// achievable from the view, so the memo's negative stamp is written and
-// read, listing accesses are not relevant, and label accesses are (their
-// generic response carries a tag). Three threads run LTR FirstRelevant
-// scans over accesses with outputs, listing accesses first, while an
-// applier grows the active domain with sellers and then tags; the first
-// tag makes every query achievable and the memo sticks. Load-bearing
-// assertions: once quiesced, every thread's scans equal a sequential
-// recheck on a fresh engine over the final configuration; the memo
-// answered checks; and the run is race-free — the TSan CI job builds
-// this test.
-TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
-  auto schema = std::make_shared<Schema>();
-  const DomainId item = schema->AddDomain("Item");
-  const DomainId seller = schema->AddDomain("Seller");
-  const DomainId tag = schema->AddDomain("Tag");
-  const RelationId listing =
+// A marketplace whose Flag values (tags) only Label's output produces:
+// binding queries Q(i) :- Listing(i, S), Vetted(S), Flag(T), one per item
+// plus one over a fresh item (a seeded view), and LTR scans over the
+// listing accesses, then the label accesses. Every method is dependent.
+struct Marketplace {
+  static constexpr int kItems = 4;
+
+  std::shared_ptr<Schema> schema = std::make_shared<Schema>();
+  DomainId item = schema->AddDomain("Item");
+  DomainId seller = schema->AddDomain("Seller");
+  DomainId tag = schema->AddDomain("Tag");
+  RelationId listing =
       *schema->AddRelation("Listing", {{"item", item}, {"seller", seller}});
-  const RelationId vetted = *schema->AddRelation("Vetted", {{"s", seller}});
-  const RelationId label =
+  RelationId vetted = *schema->AddRelation("Vetted", {{"s", seller}});
+  RelationId label =
       *schema->AddRelation("Label", {{"item", item}, {"tag", tag}});
-  const RelationId flag = *schema->AddRelation("Flag", {{"t", tag}});
-  AccessMethodSet acs(schema.get());
-  const AccessMethodId m_listing = *acs.Add("listing", listing, {0}, true);
-  (void)*acs.Add("vetted", vetted, {0}, true);
-  const AccessMethodId m_label = *acs.Add("label", label, {0}, true);
-  (void)*acs.Add("flag", flag, {0}, true);
-
-  constexpr int kItems = 4;
+  RelationId flag = *schema->AddRelation("Flag", {{"t", tag}});
+  AccessMethodSet acs{schema.get()};
+  AccessMethodId m_listing = *acs.Add("listing", listing, {0}, true);
+  AccessMethodId m_vetted = *acs.Add("vetted", vetted, {0}, true);
+  AccessMethodId m_label = *acs.Add("label", label, {0}, true);
+  AccessMethodId m_flag = *acs.Add("flag", flag, {0}, true);
+  Configuration conf{schema.get()};
   std::vector<Value> items, sellers, tags;
-  for (int i = 0; i < kItems; ++i) {
-    items.push_back(schema->InternConstant("i" + std::to_string(i)));
-    tags.push_back(schema->InternConstant("t" + std::to_string(i)));
-  }
-  for (int i = 0; i < 3 * kItems; ++i) {
-    sellers.push_back(schema->InternConstant("s" + std::to_string(i)));
-  }
-  Configuration conf(schema.get());
-  for (const Value& v : items) conf.AddSeedConstant(v, item);
-
   std::vector<UnionQuery> queries;
-  std::vector<Value> heads = items;
-  heads.push_back(schema->InternConstant("i_fresh"));  // a seeded view
-  for (const Value& head : heads) {
-    ConjunctiveQuery cq;
-    const VarId sv = cq.AddVar("S", seller);
-    const VarId tv = cq.AddVar("T", tag);
-    cq.atoms.push_back(
-        Atom{listing, {Term::MakeConst(head), Term::MakeVar(sv)}});
-    cq.atoms.push_back(Atom{vetted, {Term::MakeVar(sv)}});
-    cq.atoms.push_back(Atom{flag, {Term::MakeVar(tv)}});
-    UnionQuery uq;
-    uq.disjuncts.push_back(std::move(cq));
-    queries.push_back(std::move(uq));
-  }
-  std::vector<Access> scanned;  // listing accesses first, then label
-  for (const Value& v : items) scanned.push_back(Access{m_listing, {v}});
-  for (const Value& v : items) scanned.push_back(Access{m_label, {v}});
+  std::vector<Access> scanned;  ///< listing accesses first, then label
 
-  EngineOptions opts;
-  opts.num_threads = 1;
-  opts.relevance.containment.max_aux_facts = 0;
-  RelevanceEngine engine(*schema, acs, conf, opts);
-  std::vector<QueryId> qids;
-  for (const UnionQuery& q : queries) qids.push_back(*engine.RegisterQuery(q));
-  auto scan = [&](RelevanceEngine& e, QueryId q) {
+  explicit Marketplace(int num_sellers) {
+    for (int i = 0; i < kItems; ++i) {
+      items.push_back(schema->InternConstant("i" + std::to_string(i)));
+      tags.push_back(schema->InternConstant("t" + std::to_string(i)));
+    }
+    for (int i = 0; i < num_sellers; ++i) {
+      sellers.push_back(schema->InternConstant("s" + std::to_string(i)));
+    }
+    for (const Value& v : items) conf.AddSeedConstant(v, item);
+    std::vector<Value> heads = items;
+    heads.push_back(schema->InternConstant("i_fresh"));
+    for (const Value& head : heads) {
+      ConjunctiveQuery cq;
+      const VarId sv = cq.AddVar("S", seller);
+      const VarId tv = cq.AddVar("T", tag);
+      cq.atoms.push_back(
+          Atom{listing, {Term::MakeConst(head), Term::MakeVar(sv)}});
+      cq.atoms.push_back(Atom{vetted, {Term::MakeVar(sv)}});
+      cq.atoms.push_back(Atom{flag, {Term::MakeVar(tv)}});
+      UnionQuery uq;
+      uq.disjuncts.push_back(std::move(cq));
+      queries.push_back(std::move(uq));
+    }
+    for (const Value& v : items) scanned.push_back(Access{m_listing, {v}});
+    for (const Value& v : items) scanned.push_back(Access{m_label, {v}});
+  }
+
+  /// Engine options for the scans: a horizon of no auxiliary facts.
+  static EngineOptions Options() {
+    EngineOptions opts;
+    opts.relevance.containment.max_aux_facts = 0;
+    return opts;
+  }
+
+  /// Index of the first LTR-relevant scanned access for `q`, or -1.
+  int Scan(RelevanceEngine& e, QueryId q) const {
     return e
         .FirstRelevant(q, CheckKind::kLongTerm, scanned.data(),
                        scanned.size(), [](AccessMethodId) { return true; },
                        /*conservative_on_unknown=*/false)
         .index;
-  };
+  }
+
+  /// Lands Fact(rel, {items[i], out}) through method `m` on items[i].
+  Status Apply(RelevanceEngine& e, AccessMethodId m, RelationId rel, int i,
+               Value out) const {
+    return e.ApplyResponse(Access{m, {items[i]}}, {Fact(rel, {items[i], out})})
+        .status();
+  }
+};
+
+// The achievability memo under concurrent checks, over the marketplace
+// decided with a horizon of no auxiliary facts: while the active domain
+// has no tag, no query is achievable from the view, so the memo's
+// negative stamp is written and read, listing accesses are not relevant,
+// and label accesses are (their generic response carries a tag). Three
+// threads run LTR FirstRelevant scans, while an applier grows the active
+// domain with sellers and then tags; the first tag makes every query
+// achievable and the memo sticks. Load-bearing assertions: once
+// quiesced, every thread's scans equal a sequential recheck on a fresh
+// engine over the final configuration; the memo answered checks; and the
+// run is race-free — the TSan CI job builds this test.
+TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
+  constexpr int kItems = Marketplace::kItems;
+  const Marketplace m(3 * kItems);
+  RelevanceEngine engine(*m.schema, m.acs, m.conf, Marketplace::Options());
+  std::vector<QueryId> qids;
+  for (const UnionQuery& q : m.queries) {
+    qids.push_back(*engine.RegisterQuery(q));
+  }
   // No tag yet: the first label access is the first relevant one.
-  for (QueryId q : qids) ASSERT_EQ(scan(engine, q), kItems);
+  for (QueryId q : qids) ASSERT_EQ(m.Scan(engine, q), kItems);
 
   constexpr int kCheckers = 3;
   std::atomic<bool> stop{false};
@@ -1137,14 +1192,12 @@ TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
     checkers.emplace_back([&, c]() {
       while (!stop.load(std::memory_order_acquire)) {
         for (QueryId q : qids) {
-          if (scan(engine, q) < 0) errors.fetch_add(1);
-          // Leave the applier a gap: growth takes adom_mu_ exclusive.
-          std::this_thread::yield();
+          if (m.Scan(engine, q) < 0) errors.fetch_add(1);
         }
         rounds.fetch_add(1);
       }
       // Quiesced: the applier has finished.
-      for (QueryId q : qids) final_scans[c].push_back(scan(engine, q));
+      for (QueryId q : qids) final_scans[c].push_back(m.Scan(engine, q));
     });
   }
   // Every apply lands while the checkers scan: before it, each has had
@@ -1155,17 +1208,17 @@ TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
   };
   // Sellers first (active-domain growth, no tag: the negative stamps
   // move and are recomputed), then tags (the memo sets), then sellers.
-  auto apply = [&](AccessMethodId m, RelationId rel, int i, Value out) {
+  auto apply = [&](AccessMethodId method, RelationId rel, int i, Value out) {
     await_rounds();
-    auto added = engine.ApplyResponse(Access{m, {items[i]}},
-                                      {Fact(rel, {items[i], out})});
-    if (!added.ok()) errors.fetch_add(1);
+    if (!m.Apply(engine, method, rel, i, out).ok()) errors.fetch_add(1);
   };
-  for (int i = 0; i < kItems; ++i) apply(m_listing, listing, i, sellers[i]);
-  for (int i = 0; i < kItems; ++i) apply(m_label, label, i, tags[i]);
+  for (int i = 0; i < kItems; ++i) {
+    apply(m.m_listing, m.listing, i, m.sellers[i]);
+  }
+  for (int i = 0; i < kItems; ++i) apply(m.m_label, m.label, i, m.tags[i]);
   for (int i = 0; i < kItems; ++i) {
     for (int j = 1; j < 3; ++j) {
-      apply(m_listing, listing, i, sellers[j * kItems + i]);
+      apply(m.m_listing, m.listing, i, m.sellers[j * kItems + i]);
     }
   }
   await_rounds();
@@ -1175,10 +1228,11 @@ TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
 
   // A sequential recheck on a fresh engine (its memo unset) over the
   // final configuration.
-  RelevanceEngine fresh(*schema, acs, engine.SnapshotConfig(), opts);
+  RelevanceEngine fresh(*m.schema, m.acs, engine.SnapshotConfig(),
+                        Marketplace::Options());
   std::vector<int> sequential;
-  for (const UnionQuery& q : queries) {
-    sequential.push_back(scan(fresh, *fresh.RegisterQuery(q)));
+  for (const UnionQuery& q : m.queries) {
+    sequential.push_back(m.Scan(fresh, *fresh.RegisterQuery(q)));
   }
   for (int c = 0; c < kCheckers; ++c) {
     EXPECT_EQ(final_scans[c], sequential) << "checker " << c;
@@ -1187,6 +1241,61 @@ TEST(EngineConcurrencyTest, AchievabilityMemoUnderConcurrentChecks) {
   // relevant again.
   for (int index : sequential) EXPECT_EQ(index, 0);
   EXPECT_GT(engine.stats().achievable_reuse, 0u);
+}
+
+// Applies that grow the active domain are not starved by checks. Three
+// threads loop LTR FirstRelevant scans over the marketplace without
+// yielding, so some check scope nearly always holds adom_mu_ shared; they
+// stop only once an applier has landed 24 applies, each adding a new
+// seller to the active domain. glibc's rwlock prefers readers, so without
+// the growth gate in CheckLocks the applier waits until all three happen
+// to be between scans at once — over 10 s under ThreadSanitizer.
+// Load-bearing assertion: the applies finish within a wall-clock bound
+// (the checkers give up at twice the bound, so a starved run fails
+// rather than hangs).
+TEST(EngineConcurrencyTest, GrowthAppliesAreNotStarvedByBackToBackChecks) {
+  constexpr int kApplies = 24;
+  constexpr auto kBound = std::chrono::seconds(5);
+  const Marketplace m(kApplies);
+  RelevanceEngine engine(*m.schema, m.acs, m.conf, Marketplace::Options());
+  std::vector<QueryId> qids;
+  for (const UnionQuery& q : m.queries) {
+    qids.push_back(*engine.RegisterQuery(q));
+  }
+
+  constexpr int kCheckers = 3;
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<bool> applied{false};
+  std::atomic<int> started{0};
+  std::atomic<int> errors{0};
+  std::vector<std::thread> checkers;
+  for (int c = 0; c < kCheckers; ++c) {
+    checkers.emplace_back([&]() {
+      started.fetch_add(1);
+      while (!applied.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() - start < 2 * kBound) {
+        for (QueryId q : qids) {
+          if (m.Scan(engine, q) < 0) errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (started.load() < kCheckers) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int k = 0; k < kApplies; ++k) {
+    const int i = k % Marketplace::kItems;
+    if (!m.Apply(engine, m.m_listing, m.listing, i, m.sellers[k]).ok()) {
+      errors.fetch_add(1);
+    }
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  applied.store(true, std::memory_order_release);
+  for (std::thread& t : checkers) t.join();
+  ASSERT_EQ(errors.load(), 0);
+  EXPECT_LT(elapsed, kBound)
+      << kApplies << " growing applies took "
+      << std::chrono::duration<double>(elapsed).count() << " s";
+  EXPECT_EQ(engine.stats().adom_advances, static_cast<uint64_t>(kApplies));
 }
 
 }  // namespace

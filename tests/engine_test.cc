@@ -1,9 +1,8 @@
 // Tests for the RelevanceEngine runtime: decision-cache semantics, the
-// incremental access frontier, the worker pool, and — the load-bearing
-// property — agreement between the engine's cached/incremental/batched
-// verdicts and the direct one-shot deciders in relevance/ on randomized
-// scenario streams, including cache invalidation after configuration
-// growth.
+// incremental access frontier, and — the load-bearing property —
+// agreement between the engine's cached/incremental/concurrent verdicts
+// and the direct one-shot deciders in relevance/ on randomized scenario
+// streams, including cache invalidation after configuration growth.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,13 +10,13 @@
 #include <list>
 #include <map>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "engine/decision_cache.h"
 #include "engine/engine.h"
 #include "engine/frontier.h"
-#include "engine/worker_pool.h"
 #include "query/eval.h"
 #include "reference/brute_force.h"
 #include "relevance/head_instantiator.h"
@@ -488,28 +487,6 @@ TEST(AccessFrontierTest, RankedPutsHighScoresFirstStably) {
   }
 }
 
-// ------------------------------------------------------------ worker pool
-
-TEST(WorkerPoolTest, RunsEveryTaskExactlyOnce) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(1000, [&](size_t i) {
-    sum.fetch_add(static_cast<int>(i) + 1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 1000 * 1001 / 2);
-}
-
-TEST(WorkerPoolTest, WaitIsABarrier) {
-  WorkerPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 64);
-}
-
 // ---------------------------------------------------------------- engine
 
 // Builds a random hidden instance over the scenario's constants.
@@ -768,44 +745,55 @@ TEST(RelevanceEngineTest, FootprintDisjointGrowthPreservesCachedVerdicts) {
       << "global-epoch baseline invalidates on any growth";
 }
 
-TEST(RelevanceEngineTest, BatchAgreesWithSequentialAcrossThreads) {
+// Per-access checks from several threads, sharing one decision cache,
+// agree with an uncached twin that checks the same accesses in order.
+TEST(RelevanceEngineTest, ConcurrentChecksAgreeWithSequential) {
   Rng rng(77);
   CliqueFamily family = MakeCliqueFamily(&rng, 3, 8, 0.4);
   const Scenario& s = family.scenario;
 
-  EngineOptions single;
-  single.num_threads = 1;
-  single.enable_cache = false;
-  RelevanceEngine sequential(*s.schema, s.acs, s.conf, single);
+  EngineOptions uncached;
+  uncached.enable_cache = false;
+  RelevanceEngine sequential(*s.schema, s.acs, s.conf, uncached);
   QueryId q_seq = *sequential.RegisterQuery(family.query);
 
-  EngineOptions multi;
-  multi.num_threads = 4;
-  RelevanceEngine threaded(*s.schema, s.acs, s.conf, multi);
-  QueryId q_thr = *threaded.RegisterQuery(family.query);
+  RelevanceEngine shared(*s.schema, s.acs, s.conf);
+  QueryId q_thr = *shared.RegisterQuery(family.query);
 
-  std::vector<Access> batch = sequential.PendingAccesses();
-  ASSERT_FALSE(batch.empty());
-
-  std::vector<CheckOutcome> fanned =
-      threaded.CheckBatch(q_thr, CheckKind::kImmediate, batch);
-  ASSERT_EQ(fanned.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    CheckOutcome direct = sequential.CheckImmediate(q_seq, batch[i]);
-    EXPECT_EQ(fanned[i].relevant, direct.relevant) << "access " << i;
+  std::vector<Access> pending = sequential.PendingAccesses();
+  ASSERT_FALSE(pending.empty());
+  std::vector<bool> want;
+  for (const Access& a : pending) {
+    want.push_back(sequential.CheckImmediate(q_seq, a).relevant);
   }
 
-  // A second fan-out over the same batch is answered from the cache.
-  std::vector<CheckOutcome> again =
-      threaded.CheckBatch(q_thr, CheckKind::kImmediate, batch);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(again[i].from_cache);
-    EXPECT_EQ(again[i].relevant, fanned[i].relevant);
+  // Each thread checks every access twice from its own starting offset,
+  // so first checks, inserts and cache hits of one key interleave.
+  constexpr size_t kThreads = 4;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t k = 0; k < 2 * pending.size(); ++k) {
+        const size_t i = (k + t * pending.size() / kThreads) % pending.size();
+        if (shared.CheckImmediate(q_thr, pending[i]).relevant != want[i]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
   }
-  EngineStats stats = threaded.stats();
-  EXPECT_EQ(stats.batch_calls, 2u);
-  EXPECT_EQ(stats.batch_items, 2 * batch.size());
-  EXPECT_GE(stats.cache_hits, batch.size());
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  // Every verdict is cached by now.
+  for (size_t i = 0; i < pending.size(); ++i) {
+    CheckOutcome again = shared.CheckImmediate(q_thr, pending[i]);
+    EXPECT_TRUE(again.from_cache) << "access " << i;
+    EXPECT_EQ(again.relevant, want[i]) << "access " << i;
+  }
+  EngineStats stats = shared.stats();
+  EXPECT_EQ(stats.ir_checks, (2 * kThreads + 1) * pending.size());
+  EXPECT_GE(stats.cache_hits, pending.size());
 }
 
 // ----------------------------------------------------------------- scans
@@ -1131,7 +1119,6 @@ TEST(RelevanceEngineTest, AchievabilityMemoMatchesOneShotDecider) {
     const Scenario& s = w.scenario;
     const Schema& schema = *s.schema;
     EngineOptions opts;
-    opts.num_threads = 1;
     opts.relevance.containment.max_aux_facts = horizon;
     ContainmentOptions copts = opts.relevance.containment;
     copts.build_witness = false;

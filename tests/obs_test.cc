@@ -535,8 +535,6 @@ MetricsExport MakeSample(const Schema* schema) {
   s.responses_applied = 111;
   s.overlapped_applies = 112;
   s.overlapped_checks = 113;
-  s.batch_calls = 114;
-  s.batch_items = 115;
   s.cache_entries = 116;
   s.cache_evictions = 117;
   s.frontier_pending = 118;
@@ -600,20 +598,19 @@ MetricsExport MakeSample(const Schema* schema) {
   s.server_sessions_recovered = 426;
   m.schema = schema;
 
-  // Histogram k holds the first k+1 multiples of 10(k+1); ir_decider_ns
-  // is the four-sample one the spot checks read.
-  HistogramSnapshot* hists[] = {
-      &m.obs.ltr_decider_ns,    &m.obs.apply_ns,
-      &m.obs.batch_ns,          &m.obs.wave_ns,
-      &m.obs.wave_width,        &m.obs.queue_wait_ns,
-      &m.obs.source_ns,         &m.obs.wal_fsync_ns,
-      &m.obs.wal_commit_ns,     &m.obs.server_request_ns,
-      &m.obs.server_apply_ns,   &m.obs.server_poll_ns,
-      &m.obs.server_register_ns};
-  for (size_t k = 0; k < std::size(hists); ++k) {
+  // Each histogram (h, n) holds the first n multiples of 10n;
+  // ir_decider_ns is the four-sample one the spot checks read.
+  const std::pair<HistogramSnapshot*, uint64_t> hists[] = {
+      {&m.obs.ltr_decider_ns, 1},     {&m.obs.apply_ns, 2},
+      {&m.obs.wave_ns, 4},            {&m.obs.wave_width, 5},
+      {&m.obs.queue_wait_ns, 6},      {&m.obs.source_ns, 7},
+      {&m.obs.wal_fsync_ns, 8},       {&m.obs.wal_commit_ns, 9},
+      {&m.obs.server_request_ns, 10}, {&m.obs.server_apply_ns, 11},
+      {&m.obs.server_poll_ns, 12},    {&m.obs.server_register_ns, 13}};
+  for (const auto& [hist, n] : hists) {
     Histogram h;
-    for (uint64_t i = 1; i <= k + 1; ++i) h.Record(i * 10 * (k + 1));
-    *hists[k] = h.Snapshot();
+    for (uint64_t i = 1; i <= n; ++i) h.Record(i * 10 * n);
+    *hist = h.Snapshot();
   }
   Histogram h;
   for (uint64_t v : {100ull, 200ull, 400ull, 800ull}) h.Record(v);
@@ -714,8 +711,7 @@ constexpr char kGoldenJson[] =
     R"("producible_reuse":106,)"
     R"("producible_recomputes":107,"epoch_advances":108,)"
     R"("adom_advances":109,"facts_applied":110,"responses_applied":111,)"
-    R"("overlapped_applies":112,"overlapped_checks":113,)"
-    R"("batch_calls":114,"batch_items":115,"ir_time_ns":4000,)"
+    R"("overlapped_applies":112,"overlapped_checks":113,"ir_time_ns":4000,)"
     R"("ltr_time_ns":1000,"cache_entries":116,"cache_evictions":117,)"
     R"("frontier_pending":118,"frontier_performed":119,)"
     R"("apply_admission_rejections":120,"cache_hit_rate":0.5,)"
@@ -747,8 +743,7 @@ constexpr char kGoldenJson[] =
     R"("mean":375.0,"p50":207,"p90":800,"p99":800,"max":800},)"
     R"("ltr_decider_ns":{"count":1,"mean":10.0,"p50":10,"p90":10,)"
     R"("p99":10,"max":10},"apply_ns":{"count":2,"mean":30.0,"p50":21,)"
-    R"("p90":40,"p99":40,"max":40},"batch_ns":{"count":3,"mean":60.0,)"
-    R"("p50":63,"p90":90,"p99":90,"max":90},"wave_ns":{"count":4,)"
+    R"("p90":40,"p99":40,"max":40},"wave_ns":{"count":4,)"
     R"("mean":100.0,"p50":87,"p90":160,"p99":160,"max":160},)"
     R"("wave_width":{"count":5,"mean":150.0,"p50":159,"p90":250,)"
     R"("p99":250,"max":250},"queue_wait_ns":{"count":6,"mean":210.0,)"
@@ -804,10 +799,6 @@ rar_engine_responses_applied_total 111
 rar_engine_overlapped_applies_total 112
 # TYPE rar_engine_overlapped_checks_total counter
 rar_engine_overlapped_checks_total 113
-# TYPE rar_engine_batch_calls_total counter
-rar_engine_batch_calls_total 114
-# TYPE rar_engine_batch_items_total counter
-rar_engine_batch_items_total 115
 # TYPE rar_engine_ir_time_ns_total counter
 rar_engine_ir_time_ns_total 4000
 # TYPE rar_engine_ltr_time_ns_total counter
@@ -956,14 +947,6 @@ rar_apply_ns_sum 60
 rar_apply_ns_count 2
 # TYPE rar_apply_ns_max gauge
 rar_apply_ns_max 40
-# TYPE rar_batch_ns summary
-rar_batch_ns{quantile="0.5"} 63
-rar_batch_ns{quantile="0.9"} 90
-rar_batch_ns{quantile="0.99"} 90
-rar_batch_ns_sum 180
-rar_batch_ns_count 3
-# TYPE rar_batch_ns_max gauge
-rar_batch_ns_max 90
 # TYPE rar_wave_ns summary
 rar_wave_ns{quantile="0.5"} 87
 rar_wave_ns{quantile="0.9"} 160

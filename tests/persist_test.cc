@@ -280,11 +280,6 @@ struct PersistFixture {
   }
 
   Value C(const char* s) { return schema.InternConstant(s); }
-  EngineOptions quiet_engine() const {
-    EngineOptions eo;
-    eo.num_threads = 1;
-    return eo;
-  }
 };
 
 /// What the live session looked like after each WAL record: the recovery
@@ -393,7 +388,7 @@ std::vector<ExpectedState> RunScript(PersistFixture& fx,
                                      StreamOptions stream_opts = {}) {
   std::vector<ExpectedState> expected;
   auto session_or = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                         popts, fx.quiet_engine());
+                                         popts);
   EXPECT_TRUE(session_or.ok()) << session_or.status().ToString();
   DurableSession& session = **session_or;
 
@@ -454,8 +449,7 @@ TEST(DurableSessionTest, CloseReopenParityAndResume) {
   const std::string dir = TestDir("reopen");
   std::vector<ExpectedState> expected = RunScript(fx, dir, {});
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_FALSE((*recovered)->recovery().from_snapshot);
   EXPECT_EQ((*recovered)->recovery().replayed_records, expected.size() - 1);
@@ -470,8 +464,7 @@ TEST(DurableSessionTest, CloseReopenParityAndResume) {
   VersionVector after = (*recovered)->engine().versions();
   recovered->reset();
 
-  auto again = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                    fx.quiet_engine());
+  auto again = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE((*again)->engine().versions() == after);
 }
@@ -488,8 +481,7 @@ TEST(DurableSessionTest, SnapshotPrunesToFallbackChainAndRestores) {
   {
     // Reopen, snapshot twice with applies in between, then two applies
     // past the second snapshot.
-    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                  fx.quiet_engine());
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
     ASSERT_TRUE(s.ok());
     ASSERT_TRUE((*s)->WriteSnapshot().ok());
     snap1 = (*s)->last_sequence();
@@ -536,8 +528,7 @@ TEST(DurableSessionTest, SnapshotPrunesToFallbackChainAndRestores) {
         CaptureState(fx, **s, events, ps->acked_sequence, true));
   }
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE((*recovered)->recovery().from_snapshot);
   EXPECT_EQ((*recovered)->recovery().snapshot_sequence, snap2);
@@ -552,8 +543,7 @@ TEST(DurableSessionTest, SnapshotPrunesToFallbackChainAndRestores) {
 TEST(DurableSessionTest, SnapshotBytesIsTheNewestSnapshotsSize) {
   PersistFixture fx;
   const std::string dir = TestDir("snapshot_bytes");
-  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                fx.quiet_engine());
+  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(s.ok());
   ASSERT_TRUE((*s)->WriteSnapshot().ok());
   ASSERT_TRUE(
@@ -586,7 +576,7 @@ TEST(DurableSessionTest, AutoSnapshotKeepsParity) {
       << "auto-snapshots keep the newest image plus its fallback";
 
   auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        popts, fx.quiet_engine());
+                                        popts);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE((*recovered)->recovery().from_snapshot);
   ExpectStateParity(fx, expected.back(), **recovered, "auto snapshot");
@@ -628,7 +618,7 @@ TEST(DurableSessionTest, CrashReplayAtEveryWalPrefix) {
                  std::string_view(wal).substr(0, cut));
 
     auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap,
-                                          crash_dir, {}, fx.quiet_engine());
+                                          crash_dir);
     ASSERT_TRUE(recovered.ok())
         << "cut " << cut << ": " << recovered.status().ToString();
     EXPECT_EQ((*recovered)->recovery().replayed_records, intact);
@@ -667,7 +657,7 @@ TEST(DurableSessionTest, BitFlipTruncatesAtCorruptRecord) {
     WriteRawFile(crash_dir + "/" + segment, bad);
 
     auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap,
-                                          crash_dir, {}, fx.quiet_engine());
+                                          crash_dir);
     ASSERT_TRUE(recovered.ok())
         << "flip " << pos << ": " << recovered.status().ToString();
     EXPECT_EQ((*recovered)->recovery().replayed_records, record);
@@ -690,7 +680,7 @@ TEST(DurableSessionTest, ShortReadsDoNotAffectRecovery) {
   PersistOptions popts;
   popts.env = &fenv;
   auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        popts, fx.quiet_engine());
+                                        popts);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   ExpectStateParity(fx, expected.back(), **recovered, "short reads");
 }
@@ -709,8 +699,7 @@ TEST(DurableSessionTest, TornAppendFailsSessionThenRecovers) {
   PersistOptions popts;
   popts.env = &fenv;
   {
-    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, popts,
-                                  fx.quiet_engine());
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, popts);
     ASSERT_TRUE(s.ok());
     ASSERT_TRUE((*s)->RegisterQuery(fx.bq1).ok());
     Status failed = Status::OK();
@@ -727,16 +716,14 @@ TEST(DurableSessionTest, TornAppendFailsSessionThenRecovers) {
                      .ok());
   }
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   // Whatever survived is a clean record prefix: replaying it again from
   // the truncated file is byte-stable.
   VersionVector first = (*recovered)->engine().versions();
   uint64_t replayed = (*recovered)->recovery().replayed_records;
   recovered->reset();
-  auto again = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                    fx.quiet_engine());
+  auto again = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE((*again)->engine().versions() == first);
   EXPECT_EQ((*again)->recovery().replayed_records, replayed);
@@ -754,8 +741,7 @@ TEST(DurableSessionTest, ForceFullRecheckRecoveredVsFreshParity) {
   sopts.force_full_recheck = true;
   RunScript(fx, dir, {}, sopts);
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   RelevanceEngine& engine = (*recovered)->engine();
 
@@ -819,8 +805,7 @@ TEST(SnapshotTest, CorruptNewestImageFallsBackToOlder) {
   uint64_t snap1 = 0, snap2 = 0;
   std::vector<ExpectedState> expected;
   {
-    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                  fx.quiet_engine());
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
     ASSERT_TRUE(s.ok());
     ASSERT_TRUE((*s)->WriteSnapshot().ok());
     snap1 = (*s)->last_sequence();
@@ -854,8 +839,7 @@ TEST(SnapshotTest, CorruptNewestImageFallsBackToOlder) {
   EXPECT_EQ(state.last_sequence, snap1)
       << "the corrupt newer image must be skipped";
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE((*recovered)->recovery().from_snapshot);
   EXPECT_EQ((*recovered)->recovery().snapshot_sequence, snap1);
@@ -874,8 +858,7 @@ TEST(DurableSessionTest, MissingSnapshotWithGappedWalFailsLoudly) {
   RunScript(fx, dir, {});
   uint64_t snap_seq = 0;
   {
-    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                  fx.quiet_engine());
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
     ASSERT_TRUE(s.ok());
     ASSERT_TRUE((*s)->WriteSnapshot().ok());
     snap_seq = (*s)->last_sequence();
@@ -894,8 +877,7 @@ TEST(DurableSessionTest, MissingSnapshotWithGappedWalFailsLoudly) {
   const std::string tail_before = ReadRawFile(tail_path);
   ASSERT_FALSE(tail_before.empty());
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_FALSE(recovered.ok()) << "recovery must refuse a gapped log";
   EXPECT_NE(recovered.status().ToString().find("sequence gap"),
             std::string::npos)
@@ -913,8 +895,7 @@ TEST(DurableSessionTest, StaleTmpFilesSweptOnOpen) {
   const std::string stale = dir + "/" + SnapshotFileName(42) + ".tmp";
   WriteRawFile(stale, "half-written snapshot image");
 
-  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                fx.quiet_engine());
+  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(s.ok()) << s.status().ToString();
   auto exists = GetPosixEnv()->FileExists(stale);
   ASSERT_TRUE(exists.ok());
@@ -957,8 +938,7 @@ TEST(WalTest, FsyncAlwaysPolicyFsyncsPerCommit) {
 TEST(DurableSessionTest, AcknowledgeBeyondLastEmittedIsRejected) {
   PersistFixture fx;
   const std::string dir = TestDir("overack");
-  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                fx.quiet_engine());
+  auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(s.ok());
   auto sid = (*s)->RegisterStream(fx.stream_q);
   ASSERT_TRUE(sid.ok());
@@ -1001,8 +981,7 @@ TEST(DurableSessionTest, SharedStreamSubscriptionsRecoverAtTheirCursors) {
   };
   std::vector<Cursor> cursors;
   {
-    auto opened = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                       {}, fx.quiet_engine());
+    auto opened = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     DurableSession& session = **opened;
     auto apply = [&](Access access, std::vector<Fact> response) {
@@ -1043,8 +1022,7 @@ TEST(DurableSessionTest, SharedStreamSubscriptionsRecoverAtTheirCursors) {
     ASSERT_TRUE(session.Flush().ok());
   }  // the "crash"
 
-  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                        {}, fx.quiet_engine());
+  auto recovered = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_TRUE((*recovered)->recovery().from_snapshot);
   EXPECT_EQ((*recovered)->recovery().replayed_records, 5u);
@@ -1100,8 +1078,7 @@ TEST(DurableSessionTest, PerRegistrationPoolsFromBeforeSharingRecover) {
                : std::string();
   };
   {
-    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir, {},
-                                  fx.quiet_engine());
+    auto s = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
     ASSERT_TRUE(s.ok()) << s.status().ToString();
     DurableSession& session = **s;
     EXPECT_EQ(session.streams().num_streams(), 2u);
@@ -1122,8 +1099,7 @@ TEST(DurableSessionTest, PerRegistrationPoolsFromBeforeSharingRecover) {
     EXPECT_EQ(pool_of(session, joined), pools[0]);
     ASSERT_TRUE(session.WriteSnapshot().ok());
   }
-  auto restored = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir,
-                                       {}, fx.quiet_engine());
+  auto restored = DurableSession::Open(fx.schema, fx.acs, fx.bootstrap, dir);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_TRUE((*restored)->recovery().from_snapshot);
   EXPECT_EQ((*restored)->streams().num_streams(), 2u);

@@ -747,9 +747,7 @@ TEST(ServerConcurrencyTest, ConcurrentSessionsGapFreeDeliveryAndParity) {
   std::vector<UnionQuery> queries;
   for (int g = 0; g < kGroups; ++g) queries.push_back(GroupStreamQuery(f, g));
 
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  RelevanceEngine engine(*s.schema, s.acs, s.conf, eopts);
+  RelevanceEngine engine(*s.schema, s.acs, s.conf);
   RelevanceStreamRegistry registry(&engine);
   SessionServer server(&engine, &registry, {});
 

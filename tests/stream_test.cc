@@ -1197,6 +1197,41 @@ TEST_F(StreamTest, SharedSubscriptionsReplayGapFreeFromOne) {
               registry.DumpPersistState(creator)->fresh_pool);
 }
 
+// The wave threshold is ignored (every wave runs on the applying thread),
+// so it must not split sharing: registrations of one query that differ
+// only in it share one stream, and each cursor numbers its events 1, 2,
+// 3, ... over the shared log, whenever it joined.
+TEST_F(StreamTest, WaveThresholdDoesNotSplitSharedStreams) {
+  SharedWorld w;
+  auto script = w.Script();
+  StreamOptions eight;  // the default threshold
+  eight.retain_events = true;
+  StreamOptions unbounded = eight;
+  unbounded.parallel_threshold = SIZE_MAX;
+
+  RelevanceEngine engine(*w.schema, w.acs, w.conf);
+  RelevanceStreamRegistry registry(&engine);
+  const StreamId first = *registry.Register(w.query, eight);
+  ASSERT_TRUE(engine.ApplyResponse(script[0].first, script[0].second).ok());
+  const StreamId second = *registry.Register(w.query, unbounded);
+  for (size_t i = 1; i < script.size(); ++i) {
+    ASSERT_TRUE(engine.ApplyResponse(script[i].first, script[i].second).ok());
+  }
+  EXPECT_EQ(registry.num_streams(), 1u);
+  EXPECT_EQ(registry.num_subscriptions(), 2u);
+  for (auto [who, sid] : {std::pair<const char*, StreamId>{"threshold 8",
+                                                           first},
+                          {"threshold SIZE_MAX", second}}) {
+    SCOPED_TRACE(who);
+    Result<StreamDelta> d = registry.PollAfter(sid, 0);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    ASSERT_FALSE(d->events.empty());
+    ExpectGapFreeFromOne(d->events, who);
+    EXPECT_EQ(d->events.size(), d->last_sequence);
+    EXPECT_EQ(FoldEvents(d->events), StatesOf(registry.Snapshot(sid)));
+  }
+}
+
 // A poll from a cursor the retention cap has not yet passed returns the
 // events right after that cursor, never a later suffix: the horizon test
 // and the poll run under one hold of the stream mutex, so an apply landing
